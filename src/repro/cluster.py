@@ -28,6 +28,7 @@ from repro.ttp.constants import (
     ControllerStateName,
 )
 from repro.ttp.controller import ControllerConfig, FreezeReason, TTPController
+from repro.ttp.cstate import CStateTable
 from repro.ttp.frames import i_frame_wire_bits
 from repro.ttp.medl import Medl
 
@@ -252,6 +253,8 @@ class Cluster:
                 rng=rng)
 
         self.controllers: Dict[str, TTPController] = {}
+        #: One C-state table per cluster: agreeing nodes share C-states.
+        cstates = CStateTable()
         for index, name in enumerate(spec.node_names):
             ppm = spec.node_ppm.get(name, 0.0)
             clock = DriftingClock(ClockConfig(ppm=ppm))
@@ -261,7 +264,7 @@ class Cluster:
             controller = TTPController(self.sim, name, self.medl, self.topology,
                                        clock=clock, monitor=self.monitor,
                                        config=config, tolerance=tolerance,
-                                       modes=self.mode_set)
+                                       modes=self.mode_set, cstates=cstates)
             self.controllers[name] = controller
 
         from repro.obs import events as obs_events

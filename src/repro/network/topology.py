@@ -4,8 +4,14 @@ Both topologies expose the same interface to the protocol layer:
 
 * ``send(source, frame, duration, shape)`` -- drive a frame from a node
   onto both replicated channels (TTP/C always sends on both),
+* ``log`` -- the receive log: every completed transmission, recorded once
+  per channel as ``(channel_index, transmission, corrupted, arrival)``.
+  Slot-synchronous controllers (``attach_reader``) read their slot's
+  entries at their own slot boundary instead of taking one callback per
+  frame,
 * ``attach_receiver(callback)`` -- deliver every completed transmission as
-  ``callback(channel_index, transmission, corrupted)``.
+  ``callback(channel_index, transmission, corrupted)``; a reader's own
+  callback is switched on only while it listens (``set_listening``).
 
 The difference is the path between a node and each channel:
 
@@ -31,6 +37,13 @@ from repro.ttp.medl import Medl
 #: Receiver signature: (channel_index, transmission, corrupted) -> None.
 ReceiverCallback = Callable[[int, Transmission, bool], None]
 
+#: One receive-log entry: (channel_index, transmission, corrupted, arrival).
+LogEntry = Tuple[int, Transmission, bool, float]
+
+#: The receive log is trimmed once it holds more than this many entries
+#: (or twice what the last trim kept, whichever is larger).
+LOG_TRIM_AT = 64
+
 
 class _TopologyBase:
     """Shared channel bookkeeping for both topologies."""
@@ -53,21 +66,77 @@ class _TopologyBase:
                     rng=None if rng is None else rng.child(f"ch{index}"),
                     scheduler=self.scheduler)
             for index in range(CHANNEL_COUNT)]
-        self._receivers: List[ReceiverCallback] = []
+        #: Every completed transmission, once per channel, in completion
+        #: order; ``log[0]`` has absolute index ``log_base``.
+        self.log: List[LogEntry] = []
+        self.log_base = 0
+        self._trim_at = LOG_TRIM_AT
+        self._readers: List = []
+        #: Per-frame subscribers in attach order, each with its on switch.
+        self._subscribers: List[list] = []
+        #: The switched-on callbacks.  Rebuilt (never mutated) on every
+        #: switch, so a fan-out in progress finishes the tuple it started.
+        self._receivers: Tuple[ReceiverCallback, ...] = ()
         for index, channel in enumerate(self.channels):
             channel.subscribe(self._make_fanout(index))
 
     def _make_fanout(self, channel_index: int):
+        log = self.log
+        sim = self.sim
+
         def fanout(transmission: Transmission, corrupted: bool) -> None:
-            # Receivers attach at wiring time (never detach), so no
-            # defensive copy on the per-frame fan-out.
+            # Logged before the callbacks: a listener that integrates on
+            # this frame starts reading right after it.
+            log.append((channel_index, transmission, corrupted, sim.now))
+            if len(log) > self._trim_at:
+                self._trim()
             for receiver in self._receivers:
                 receiver(channel_index, transmission, corrupted)
         return fanout
 
+    @property
+    def log_end(self) -> int:
+        """Absolute index the next log entry will get."""
+        return self.log_base + len(self.log)
+
+    def _trim(self) -> None:
+        """Drop the entries every reader has consumed.
+
+        A reader whose ``log_cursor`` is None (frozen, initializing,
+        listening) consumes nothing and pins nothing.
+        """
+        log = self.log
+        low = self.log_base + len(log)
+        for reader in self._readers:
+            cursor = reader.log_cursor
+            if cursor is not None and cursor < low:
+                low = cursor
+        del log[:low - self.log_base]
+        self.log_base = low
+        self._trim_at = max(LOG_TRIM_AT, 2 * len(log))
+
     def attach_receiver(self, callback: ReceiverCallback) -> None:
-        """Register a protocol-layer receiver for all channels."""
-        self._receivers.append(callback)
+        """Register a receiver for every completed transmission."""
+        self._subscribers.append([callback, True])
+        self._receivers += (callback,)
+
+    def attach_reader(self, reader, callback: ReceiverCallback) -> None:
+        """Register a receive-log reader and its per-frame callback.
+
+        ``reader.log_cursor`` is the absolute index of the first entry the
+        reader has not consumed, or None while it consumes none.  The
+        callback starts switched off (see :meth:`set_listening`).
+        """
+        self._readers.append(reader)
+        self._subscribers.append([callback, False])
+
+    def set_listening(self, callback: ReceiverCallback, on: bool) -> None:
+        """Switch a reader's per-frame callback on or off."""
+        for subscriber in self._subscribers:
+            if subscriber[0] == callback:
+                subscriber[1] = on
+        self._receivers = tuple(
+            subscriber[0] for subscriber in self._subscribers if subscriber[1])
 
     def send(self, source: str, frame: Frame, duration: float,
              shape: Optional[SignalShape] = None) -> None:

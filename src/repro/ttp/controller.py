@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.network.channel import Transmission
 from repro.network.signal import (NOMINAL_SHAPE, ReceiverTolerance,
@@ -44,9 +44,8 @@ from repro.ttp.constants import (
     ControllerStateName,
     FrameKind,
 )
-from repro.ttp.cstate import CState
+from repro.ttp.cstate import CState, CStateTable
 from repro.ttp.frames import (
-    SILENCE,
     ColdStartFrame,
     Frame,
     FrameObservation,
@@ -55,7 +54,7 @@ from repro.ttp.frames import (
     XFrame,
 )
 from repro.ttp.medl import Medl, MedlDispatch
-from repro.ttp.membership import MembershipView, SlotJudgment
+from repro.ttp.membership import MembershipView
 from repro.ttp.startup import StartupRules
 
 #: Hot-path aliases: the tick path compares controller states thousands of
@@ -186,7 +185,8 @@ class TTPController:
                  monitor: Optional[TraceMonitor] = None,
                  config: Optional[ControllerConfig] = None,
                  tolerance: Optional[ReceiverTolerance] = None,
-                 modes: Optional["ModeSet"] = None) -> None:
+                 modes: Optional["ModeSet"] = None,
+                 cstates: Optional[CStateTable] = None) -> None:
         self.sim = sim
         self.name = name
         self.medl = medl
@@ -231,13 +231,19 @@ class TTPController:
         self.freeze_reason: FreezeReason = FreezeReason.POWER_ON
         self.slot = self.own_slot
         self.cstate = CState(medl_position=self.own_slot)
-        self.view = MembershipView(own_slot=self.own_slot)
+        #: The cluster's interned C-states (private when built standalone).
+        self._cstates = cstates if cstates is not None else CStateTable()
+        self.view = MembershipView(own_slot=self.own_slot, table=self._cstates)
         self.startup = StartupRules(slot_count=medl.slot_count, node_slot=self.own_slot)
         self.ever_integrated = False
         self.tick_count = 0
         self._fault_announced = False
         self._init_slots_left = 0
-        self._mailbox: List[Tuple[int, Transmission, bool, float]] = []
+        #: Receive path: in listen, one callback per frame; in the
+        #: slot-synchronous states, the topology's receive log from this
+        #: absolute index on, read at each tick; otherwise nothing.
+        self._listening = False
+        self.log_cursor: Optional[int] = None
         self._tick_event: Optional[Event] = None
         self._judged_since_test = 0
         self._last_listen_event: Optional[Tuple[int, float]] = None
@@ -252,7 +258,6 @@ class TTPController:
             discard=1, max_correction=self.config.max_sync_correction)
         self._slot_start_ref = 0.0
         self._sync_adjustment = 0.0
-        self._last_sync_event: Optional[Tuple[int, float]] = None
         #: Byzantine-clock bookkeeping: the absolute grid offset currently
         #: held (corrections are deltas between targets) and the round
         #: counter driving the oscillate pattern.
@@ -268,14 +273,10 @@ class TTPController:
 
         self.ack = AcknowledgmentState(own_slot=self.own_slot)
 
-        #: The slot judge has an allocation-free fast path for the standard
-        #: dual-channel topology (judging straight off the mailbox); other
-        #: channel counts go through the generic observation fold.
-        self._fast_judge = len(getattr(topology, "channels", ())) == 2
         #: Healthy nodes skip the fault-injection hook per tick.
         self._faulty = self.config.fault is not NodeFaultBehavior.HEALTHY
 
-        topology.attach_receiver(self._on_transmission)
+        topology.attach_reader(self, self._listen_receive)
 
     # -- host interface -----------------------------------------------------------
 
@@ -307,42 +308,6 @@ class TTPController:
         return self.state in (ControllerStateName.ACTIVE, ControllerStateName.PASSIVE)
 
     # -- receive path ----------------------------------------------------------------
-
-    def _on_transmission(self, channel_index: int, transmission: Transmission,
-                         corrupted: bool) -> None:
-        if transmission.source == self.name:
-            return  # own frames are accounted for at send time
-        now = self.sim.now
-        if self.state is _LISTEN:
-            if self._faulty and self._collision_attack_active():
-                # An active collision attacker never phase-locks onto the
-                # cluster grid -- it keeps attacking from the listen state.
-                self._maybe_arm_targeted_jam(transmission)
-                return
-            # Listening nodes react to frames as they arrive: integration
-            # aligns the local slot grid to the observed cluster grid.
-            self._listen_receive(transmission, corrupted)
-            return
-        event_key = (id(transmission.frame), now)
-        if event_key == self._last_listen_event:
-            # Second-channel copy of the frame we just integrated on.
-            return
-        if self.config.clock_sync_enabled and not corrupted:
-            # Clock-sync measurement: senders transmit at the slot start,
-            # so the expected completion is slot start + airtime.  Each
-            # frame is measured once (the channel replica arrives at the
-            # same instant and would defeat the FTA's outlier discard),
-            # and only deviations inside the precision window count --
-            # larger ones indicate a frame that does not belong to this
-            # slot, which the protocol must not chase.
-            expected = self._slot_start_ref + transmission.duration
-            deviation = now - expected
-            max_correction = self.config.max_sync_correction
-            if (event_key != self._last_sync_event
-                    and -max_correction <= deviation <= max_correction):
-                self._last_sync_event = event_key
-                self.synchronizer.observe(self.slot, expected, now)
-        self._mailbox.append((channel_index, transmission, corrupted, now))
 
     def _make_observation(self, transmission: Transmission,
                           corrupted: bool) -> FrameObservation:
@@ -385,54 +350,31 @@ class TTPController:
             signal_level=transmission.shape.level,
             corrupted=not decoded.crc_ok)
 
-    def _fold_mailbox(self, mailbox) -> Dict[int, FrameObservation]:
-        """Fold the transmissions completed during the elapsed slot into one
-        observation per channel.
-
-        More than one transmission on a channel within one slot window is
-        interference: the slot is judged invalid on that channel.
-        """
-        if not mailbox:
-            return {}
-        if len(mailbox) == 1:
-            # Fast path: one completed transmission on one channel.
-            channel_index, transmission, corrupted, _arrival = mailbox[0]
-            return {channel_index: self._make_observation(transmission,
-                                                          corrupted)}
-        if len(mailbox) == 2 and mailbox[0][0] != mailbox[1][0]:
-            # Steady state: one frame per channel, no interference.
-            index0, tx0, corrupted0, _ = mailbox[0]
-            index1, tx1, corrupted1, _ = mailbox[1]
-            return {index0: self._make_observation(tx0, corrupted0),
-                    index1: self._make_observation(tx1, corrupted1)}
-
-        per_channel: Dict[int, List[Tuple[Transmission, bool]]] = {}
-        for channel_index, transmission, corrupted, _arrival in mailbox:
-            per_channel.setdefault(channel_index, []).append((transmission, corrupted))
-
-        observations: Dict[int, FrameObservation] = {}
-        for channel_index, entries in per_channel.items():
-            if len(entries) > 1:
-                observations[channel_index] = FrameObservation(
-                    frame=entries[0][0].frame, corrupted=True)
-                continue
-            transmission, corrupted = entries[0]
-            observations[channel_index] = self._make_observation(transmission,
-                                                                 corrupted)
-        return observations
-
     # -- state transitions -------------------------------------------------------------
+
+    def _set_state(self, state: ControllerStateName) -> None:
+        """Enter ``state`` and switch the receive path to match it."""
+        self.state = state
+        listening = state is _LISTEN
+        if listening is not self._listening:
+            self._listening = listening
+            self.topology.set_listening(self._listen_receive, listening)
+        if state is _COLD_START or state is _ACTIVE or state is _PASSIVE:
+            if self.log_cursor is None:
+                self.log_cursor = self.topology.log_end
+        else:
+            self.log_cursor = None
 
     def _enter_init(self) -> None:
         if self.state is not ControllerStateName.FREEZE:
             return
-        self.state = ControllerStateName.INIT
+        self._set_state(ControllerStateName.INIT)
         self._init_slots_left = self.config.init_delay_slots
         self._emit(ev.StateChange, state=self.state.value)
         self._schedule_tick()
 
     def _enter_listen(self) -> None:
-        self.state = ControllerStateName.LISTEN
+        self._set_state(ControllerStateName.LISTEN)
         self.startup.reset()
         self.ack.disarm()
         self.synchronizer.reset()
@@ -440,7 +382,7 @@ class TTPController:
         self._emit(ev.StateChange, state=self.state.value)
 
     def _enter_cold_start(self) -> None:
-        self.state = ControllerStateName.COLD_START
+        self._set_state(ControllerStateName.COLD_START)
         self.slot = self.own_slot
         self.cstate = CState(global_time=self.cstate.global_time,
                              medl_position=self.own_slot,
@@ -463,7 +405,7 @@ class TTPController:
         self.view.adopt(self.cstate)
         self.view.reset_round()
         self._judged_since_test = 0
-        self.state = ControllerStateName.PASSIVE
+        self._set_state(ControllerStateName.PASSIVE)
         self.ever_integrated = True
         self.ack.disarm()
         self.pending_mode = None
@@ -471,8 +413,11 @@ class TTPController:
         self._emit(ev.StateChange, state=self.state.value)
 
     def _freeze(self, reason: FreezeReason) -> None:
-        self.state = ControllerStateName.FREEZE
+        self._set_state(ControllerStateName.FREEZE)
         self.freeze_reason = reason
+        # Leaving the cluster drops the pending clock-sync measurements
+        # (listen would anyway), so a frozen node holds no per-frame state.
+        self.synchronizer.reset()
         self._emit(ev.Freeze, reason=reason.value,
                    was_integrated=self.ever_integrated)
         if self._tick_event is not None:
@@ -514,103 +459,82 @@ class TTPController:
     def _tick(self) -> None:
         self._tick_event = None
         self.tick_count += 1
-        mailbox = self._mailbox
-        if mailbox:
-            self._mailbox = []
         sim = self.sim
-        self._slot_start_ref = sim.now  # the new slot starts now
-
         state = self.state
+        if state is _COLD_START or state is _ACTIVE or state is _PASSIVE:
+            # Slot-synchronous operation.  Judged before the new slot's
+            # start is taken: the judge measures clock sync against the
+            # start of the slot that just elapsed.
+            self._judge_completed_slot()
+            self._slot_start_ref = sim.now  # the new slot starts now
+            if self.state is _FREEZE:
+                return
+            self._advance_slot()
+            if self.slot == self.own_slot:
+                if (self.config.clock_sync_enabled
+                        and self.synchronizer.measurements):
+                    # Once-per-round resynchronization: a positive FTA value
+                    # means frames arrive later than our grid expects (our
+                    # clock runs fast), so the next round is stretched.
+                    measured = len(self.synchronizer.measurements)
+                    correction = self.synchronizer.compute_correction()
+                    self._sync_adjustment = correction
+                    if self.config.emit_sync_rounds:
+                        self._emit(ev.SyncRound, correction=correction,
+                                   measurements=measured)
+                if self._faulty:
+                    self._apply_byzantine_clock()
+                self._own_slot_actions()
+            if self._faulty:
+                self._maybe_inject_fault_traffic()
+            if self.state is not _FREEZE:
+                # Inlined _schedule_tick: this tick's own event has fired and
+                # nothing on the slot-synchronous path re-arms it, so there is
+                # (almost) never anything to cancel.
+                delay = self.config.slot_duration + self._sync_adjustment
+                self._sync_adjustment = 0.0
+                if delay < 1e-9:
+                    delay = 1e-9
+                stale = self._tick_event
+                if stale is not None:
+                    stale.cancel()
+                self._tick_event = sim.schedule_at(
+                    sim.now + delay / self.clock.rate, self._tick)
+            return
+
+        self._slot_start_ref = sim.now  # the new slot starts now
         if state is _FREEZE:
             return
         if state is _INIT:
             self._init_slots_left -= 1
             if self._init_slots_left <= 0:
                 self._enter_listen()
-            if self._faulty:
-                self._maybe_inject_fault_traffic()
-            self._schedule_tick()
-            return
-        if state is _LISTEN:
-            self._listen_tick(self._fold_mailbox(mailbox))
-            if self._faulty:
-                self._maybe_inject_fault_traffic()
-            if self.state is not _FREEZE:
-                self._schedule_tick()
-            return
-
-        # cold_start / active / passive: slot-synchronous operation.
-        self._judge_completed_slot(mailbox)
-        if self.state is _FREEZE:
-            return
-        self._advance_slot()
-        if self.slot == self.own_slot:
-            if (self.config.clock_sync_enabled
-                    and self.synchronizer.measurements):
-                # Once-per-round resynchronization: a positive FTA value
-                # means frames arrive later than our grid expects (our
-                # clock runs fast), so the next round is stretched.
-                measured = len(self.synchronizer.measurements)
-                correction = self.synchronizer.compute_correction()
-                self._sync_adjustment = correction
-                if self.config.emit_sync_rounds:
-                    self._emit(ev.SyncRound, correction=correction,
-                               measurements=measured)
-            if self._faulty:
-                self._apply_byzantine_clock()
-            self._own_slot_actions()
+        else:
+            self._listen_tick()
         if self._faulty:
             self._maybe_inject_fault_traffic()
         if self.state is not _FREEZE:
-            # Inlined _schedule_tick: this tick's own event has fired and
-            # nothing on the slot-synchronous path re-arms it, so there is
-            # (almost) never anything to cancel.
-            delay = self.config.slot_duration + self._sync_adjustment
-            self._sync_adjustment = 0.0
-            if delay < 1e-9:
-                delay = 1e-9
-            stale = self._tick_event
-            if stale is not None:
-                stale.cancel()
-            self._tick_event = sim.schedule_at(
-                sim.now + delay / self.clock.rate, self._tick)
+            self._schedule_tick()
 
     # -- listen ---------------------------------------------------------------------------------
 
-    def _listen_tick(self, observations: Dict[int, FrameObservation]) -> None:
-        obs0 = observations.get(0, SILENCE)
-        obs1 = observations.get(1, SILENCE)
-        kind0 = self._listen_kind(obs0)
-        kind1 = self._listen_kind(obs1)
-        decision = self.startup.observe_slot(kind0, kind1)
+    def _listen_tick(self) -> None:
+        """A listen slot boundary: frames were taken as they arrived
+        (:meth:`_listen_receive`), so only the listen timeout advances."""
+        if self.startup.observe_slot(FrameKind.NONE, FrameKind.NONE) != "cold_start":
+            return
+        if (self._faulty
+                and self.config.fault is NodeFaultBehavior.MID_FRAME_JAMMER
+                and self._fault_active()):
+            # The targeted jammer never starts a cluster of its own: it
+            # stays parked in listen, observing traffic and jamming.
+            return
+        self._enter_cold_start()
 
-        if decision == "integrate_c_state":
-            frame = self._explicit_cstate_frame(obs0, obs1)
-            if frame is not None:
-                id_on_bus = frame.cstate.medl_position
-                new_slot = self.startup.integration_slot(id_on_bus)
-                self._integrate(new_slot, frame.cstate.global_time + 1,
-                                frame.cstate.membership, via="c_state")
-                return
-        if decision == "integrate_cold_start":
-            frame = self._cold_start_frame(obs0, obs1)
-            if frame is not None:
-                new_slot = self.startup.integration_slot(frame.round_slot)
-                members = frozenset({frame.round_slot})
-                self._integrate(new_slot, frame.cstate.global_time + 1,
-                                members, via="cold_start")
-                return
-        if decision == "cold_start":
-            if (self._faulty
-                    and self.config.fault is NodeFaultBehavior.MID_FRAME_JAMMER
-                    and self._fault_active()):
-                # The targeted jammer never starts a cluster of its own: it
-                # stays parked in listen, observing traffic and jamming.
-                return
-            self._enter_cold_start()
-
-    def _listen_receive(self, transmission: Transmission, corrupted: bool) -> None:
-        """Event-driven listen-state reception.
+    def _listen_receive(self, channel_index: int, transmission: Transmission,
+                        corrupted: bool) -> None:
+        """Event-driven listen-state reception (the per-frame callback the
+        topology delivers only while this node listens).
 
         The same frame reaches us once per channel; the copies complete at
         the same instant and are deduplicated so the big-bang rule counts
@@ -619,6 +543,13 @@ class TTPController:
         observed slot (frame completion plus the residual slot time), which
         is how a real controller phase-locks onto the cluster's TDMA grid.
         """
+        if self.state is not _LISTEN or transmission.source == self.name:
+            return  # own frames are accounted for at send time
+        if self._faulty and self._collision_attack_active():
+            # An active collision attacker never phase-locks onto the
+            # cluster grid -- it keeps attacking from the listen state.
+            self._maybe_arm_targeted_jam(transmission)
+            return
         event_key = (id(transmission.frame), self.sim.now)
         if event_key == self._last_listen_event:
             return
@@ -652,8 +583,7 @@ class TTPController:
         # The integration frame itself is a correct frame from its sender:
         # credit it, and make sure the (already consumed) slot is not
         # re-judged as silence at the next tick.
-        self.view.apply_judgment(SlotJudgment(slot_id=adopted_slot,
-                                              correct=True, null=False))
+        self.view.apply_verdict(adopted_slot, True, False)
         if frame.cstate.dmc_mode and self.modes.valid_mode(frame.cstate.dmc_mode - 1):
             self.pending_mode = frame.cstate.dmc_mode - 1
         self._judged_since_test += 1
@@ -673,116 +603,163 @@ class TTPController:
         assert observation.frame is not None
         return observation.frame.kind
 
-    def _explicit_cstate_frame(self, *observations: FrameObservation) -> Optional[Frame]:
-        for observation in observations:
-            if (observation.frame is not None
-                    and self._listen_kind(observation) is FrameKind.C_STATE):
-                return observation.frame
-        return None
-
-    def _cold_start_frame(self, *observations: FrameObservation) -> Optional[ColdStartFrame]:
-        for observation in observations:
-            if (observation.frame is not None
-                    and self._listen_kind(observation) is FrameKind.COLD_START
-                    and isinstance(observation.frame, ColdStartFrame)):
-                return observation.frame
-        return None
-
     # -- integrated operation -----------------------------------------------------------------
 
-    def _judge_completed_slot(self, mailbox) -> None:
+    def _judge_completed_slot(self) -> None:
         """Judge the slot that just elapsed against our C-state.
 
-        Operates directly on the raw mailbox entries: in the common
-        dual-channel, frame-level case no :class:`FrameObservation` is
-        built at all -- validity and C-state agreement are tested against
-        the transmissions (and their signal shapes) in place.  Wire-level
-        reception and non-standard channel counts fall back to the
-        generic observation fold.
+        The slot's traffic is the topology's receive log past our cursor.
+        The quiet case -- one frame, intact on both channels, carrying our
+        very (interned) C-state, with nothing to deliver, latch or
+        acknowledge -- is settled at the top by an identity test.  Every
+        other slot (silence, interference, a foreign C-state, our own slot,
+        wire-level reception) takes the general fold below.  Clock-sync
+        measurements are taken here, from the logged arrival times against
+        the start of the elapsed slot.
         """
+        topology = self.topology
+        log = topology.log
+        base = topology.log_base
+        start = self.log_cursor - base
+        end = len(log)
+        self.log_cursor = base + end
+        config = self.config
+        cstate = self.cstate
+        slot = self.slot
+        if end - start == 2 and not self._skip_next_judge:
+            entry0 = log[start]
+            entry1 = log[start + 1]
+            transmission = entry0[1]
+            frame = transmission.frame
+            shape = transmission.shape
+            tolerance = self.tolerance
+            window = tolerance.window
+            if (frame.cstate is cstate and entry1[1] is transmission
+                    and not entry0[2] and not entry1[2]
+                    and slot != self.own_slot
+                    and transmission.source != self.name
+                    and not cstate.dmc_mode
+                    and (cstate.medl_position in cstate.membership
+                         or not config.strict_membership_agreement)
+                    and shape.level >= tolerance.threshold
+                    and -window <= shape.timing_offset <= window
+                    and not config.wire_level_reception
+                    and not isinstance(frame, XFrame)
+                    and not self.ack.armed):
+                if config.clock_sync_enabled:
+                    arrival = entry0[3]
+                    expected = self._slot_start_ref + transmission.duration
+                    deviation = arrival - expected
+                    max_correction = config.max_sync_correction
+                    if -max_correction <= deviation <= max_correction:
+                        self.synchronizer.observe(slot, expected, arrival)
+                self.view.apply_verdict(slot, True, False)
+                self._judged_since_test += 1
+                return
+
+        # Fold the log stretch into one transmission per channel, taking
+        # the clock-sync measurements on the way.  A second transmission on
+        # a channel within one slot window is interference: the channel's
+        # traffic is then invalid, like a corrupted copy.
+        name = self.name
+        listen_key = self._last_listen_event
+        measure = config.clock_sync_enabled
+        max_correction = config.max_sync_correction
+        channel_count = len(topology.channels)
+        received = [None] * channel_count
+        # Per channel: 0 intact, 1 corrupted, 2 interference.
+        damage = [0] * channel_count
+        measured_key = None
+        for index in range(start, end):
+            channel_index, transmission, corrupted, arrival = log[index]
+            if transmission.source == name:
+                continue  # own frames are accounted for at send time
+            event_key = (id(transmission.frame), arrival)
+            if event_key == listen_key:
+                # Second-channel copy of the frame we just integrated on.
+                continue
+            if measure and not corrupted:
+                # Senders transmit at the slot start, so the expected
+                # completion is slot start + airtime.  Each frame is
+                # measured once (the channel replica arrives at the same
+                # instant -- within one log stretch, since one channel
+                # event completes both -- and would defeat the FTA's
+                # outlier discard), and
+                # only deviations inside the precision window count --
+                # larger ones indicate a frame that does not belong to
+                # this slot, which the protocol must not chase.
+                expected = self._slot_start_ref + transmission.duration
+                deviation = arrival - expected
+                if (event_key != measured_key
+                        and -max_correction <= deviation <= max_correction):
+                    measured_key = event_key
+                    self.synchronizer.observe(slot, expected, arrival)
+            if received[channel_index] is None:
+                received[channel_index] = transmission
+                damage[channel_index] = 1 if corrupted else 0
+            else:
+                damage[channel_index] = 2
+
         if self._skip_next_judge:
             # The slot was consumed (and credited) by the integration path.
             self._skip_next_judge = False
             return
         state = self.state
-        if self.slot == self.own_slot and (state is _ACTIVE
-                                           or state is _COLD_START):
+        if slot == self.own_slot and (state is _ACTIVE or state is _COLD_START):
             # Own sending slot was already credited at send time.
             return
-        config = self.config
-        if config.wire_level_reception or not self._fast_judge:
-            self._judge_observations(self._fold_mailbox(mailbox))
-            return
 
-        # One transmission (plus corruption flag) per channel; a second
-        # transmission on the same channel is slot interference and makes
-        # the channel's traffic invalid, like a corrupted copy.
-        tx0 = tx1 = None
-        bad0 = bad1 = False
-        for entry in mailbox:
-            if entry[0] == 0:
-                if tx0 is None:
-                    tx0 = entry[1]
-                    bad0 = entry[2]
-                else:
-                    bad0 = True
-            elif tx1 is None:
-                tx1 = entry[1]
-                bad1 = entry[2]
-            else:
-                bad1 = True
-
-        cstate = self.cstate
+        # Per channel: valid (intact, in the receive window), then correct
+        # (time and position agree, and -- under the membership rule -- the
+        # frame's membership is ours with the sender's bit set).  Acting
+        # frames: the first frame for diagnostics, the first valid one
+        # agreeing on time/position to witness a pending acknowledgment,
+        # the first correct one for payload and mode-change requests.
         global_time = cstate.global_time
         position = cstate.medl_position
         tolerance = self.tolerance
         window = tolerance.window
         threshold = tolerance.threshold
         strict = config.strict_membership_agreement
-        expected_members = None
+        wire = config.wire_level_reception
+        first = witness = good = None
+        for channel_index in range(channel_count):
+            transmission = received[channel_index]
+            if transmission is None:
+                continue
+            frame = transmission.frame
+            damaged = damage[channel_index]
+            if wire and damaged < 2:
+                observation = self._make_observation(transmission, damaged == 1)
+                frame = observation.frame
+                damaged = observation.corrupted
+            if first is None:
+                first = frame
+            shape = transmission.shape
+            if (damaged or shape.level < threshold
+                    or not -window <= shape.timing_offset <= window):
+                continue
+            frame_cstate = frame.cstate
+            if (frame_cstate.global_time != global_time
+                    or frame_cstate.medl_position != position):
+                continue
+            if witness is None:
+                witness = frame
+            if good is None:
+                if not strict:
+                    good = frame
+                else:
+                    members = frame_cstate.membership
+                    snapshot = self.view.membership_set()
+                    if (position in members if members is snapshot
+                            else members == snapshot | {position}):
+                        good = frame
 
-        # Inlined FrameObservation.is_valid + _frame_correct per channel.
-        valid0 = valid1 = correct0 = correct1 = False
-        frame0 = frame1 = None
-        if tx0 is not None:
-            frame0 = tx0.frame
-            shape = tx0.shape
-            if (not bad0 and shape.level >= threshold
-                    and -window <= shape.timing_offset <= window):
-                valid0 = True
-                frame_cstate = frame0.cstate
-                if (frame_cstate.global_time == global_time
-                        and frame_cstate.medl_position == position):
-                    if strict:
-                        expected_members = (self.view.membership_set()
-                                            | {position})
-                        correct0 = frame_cstate.membership == expected_members
-                    else:
-                        correct0 = True
-        if tx1 is not None:
-            frame1 = tx1.frame
-            shape = tx1.shape
-            if (not bad1 and shape.level >= threshold
-                    and -window <= shape.timing_offset <= window):
-                valid1 = True
-                frame_cstate = frame1.cstate
-                if (frame_cstate.global_time == global_time
-                        and frame_cstate.medl_position == position):
-                    if strict:
-                        if expected_members is None:
-                            expected_members = (self.view.membership_set()
-                                                | {position})
-                        correct1 = frame_cstate.membership == expected_members
-                    else:
-                        correct1 = True
-
-        any_correct = correct0 or correct1
-        if any_correct:
-            # Fused _deliver_app_data + _adopt_deferred_mode: both act on
-            # the first correct frame (the channels are replicas).
-            good = frame0 if correct0 else frame1
+        if good is not None:
+            # Payload and mode-change requests act on the first correct
+            # frame (the channels are replicas).
             if isinstance(good, XFrame) and good.data_bits:
-                self.cni.deliver(self.slot, good.data_bits, global_time)
+                self.cni.deliver(slot, good.data_bits, global_time)
             wire_value = good.cstate.dmc_mode
             if wire_value:
                 requested = wire_value - 1
@@ -792,146 +769,34 @@ class TTPController:
                         self._emit(ev.DmcLatched, mode=requested)
                     # Heard from the bus: it is circulating.
                     self._dmc_announced = True
-        if config.explicit_acknowledgment and self.ack.armed:
-            # Fused _check_acknowledgment: the first valid frame whose
-            # time/position agree with ours witnesses the pending send.
-            ack_frame = None
-            if valid0:
-                frame_cstate = frame0.cstate
-                if (frame_cstate.global_time == global_time
-                        and frame_cstate.medl_position == position):
-                    ack_frame = frame0
-            if ack_frame is None and valid1:
-                frame_cstate = frame1.cstate
-                if (frame_cstate.global_time == global_time
-                        and frame_cstate.medl_position == position):
-                    ack_frame = frame1
-            if ack_frame is not None:
-                outcome = self.ack.observe_successor(ack_frame.cstate.membership)
-                if outcome is AckOutcome.SEND_FAULT:
-                    self._emit(ev.AckFailure, slot=self.slot)
-                    self._freeze(FreezeReason.ACK_FAILURE)
-                    return
+        if (witness is not None and config.explicit_acknowledgment
+                and self.ack.armed):
+            # Explicit acknowledgment: the witness's membership is precisely
+            # the evidence under test.
+            outcome = self.ack.observe_successor(witness.cstate.membership)
+            if outcome is AckOutcome.SEND_FAULT:
+                self._emit(ev.AckFailure, slot=slot)
+                self._freeze(FreezeReason.ACK_FAILURE)
+                return
 
-        all_null = tx0 is None and tx1 is None
-        self.view.apply_judgment(SlotJudgment(
-            slot_id=self.slot, correct=any_correct, null=all_null))
-        if not all_null:
+        self.view.apply_verdict(slot, good is not None, first is None)
+        if first is not None:
             self._judged_since_test += 1
-            if not any_correct:
+            if good is None:
                 # Diagnostic detail for campaign forensics: what we
                 # expected vs what the (first) frame claimed.
-                frame = frame0 if frame0 is not None else frame1
                 self._emit(
-                    ev.SlotFailed, slot=self.slot,
+                    ev.SlotFailed, slot=slot,
                     expected_time=global_time,
                     expected_pos=position,
-                    frame_time=None if frame is None else frame.cstate.global_time,
-                    frame_pos=None if frame is None else frame.cstate.medl_position,
-                    frame_members=None if frame is None
-                    else sorted(frame.cstate.membership),
+                    frame_time=first.cstate.global_time,
+                    frame_pos=first.cstate.medl_position,
+                    frame_members=sorted(first.cstate.membership),
                     my_members=sorted(self.view.membership_set()))
-
-    def _judge_observations(self, observations: Dict[int, FrameObservation]) -> None:
-        """Generic slot judge over folded per-channel observations (the
-        wire-level-reception and non-dual-channel path)."""
-        obs_list = [observations.get(index, SILENCE)
-                    for index in range(len(self.topology.channels))]
-        any_correct = any(self._frame_correct(observation) for observation in obs_list)
-        all_null = all(observation.is_null() for observation in obs_list)
-        if any_correct:
-            self._deliver_app_data(obs_list)
-            self._adopt_deferred_mode(obs_list)
-        if self.config.explicit_acknowledgment and self.ack.armed:
-            self._check_acknowledgment(obs_list)
-            if self.state is _FREEZE:
-                return
-        judgment = SlotJudgment(slot_id=self.slot, correct=any_correct, null=all_null)
-        self.view.apply_judgment(judgment)
-        if not all_null:
-            self._judged_since_test += 1
-            if not any_correct:
-                # Diagnostic detail for campaign forensics: what we
-                # expected vs what the (first) frame claimed.
-                frame = next((observation.frame for observation in obs_list
-                              if observation.frame is not None), None)
-                self._emit(
-                    ev.SlotFailed, slot=self.slot,
-                    expected_time=self.cstate.global_time,
-                    expected_pos=self.cstate.medl_position,
-                    frame_time=None if frame is None else frame.cstate.global_time,
-                    frame_pos=None if frame is None else frame.cstate.medl_position,
-                    frame_members=None if frame is None
-                    else sorted(frame.cstate.membership),
-                    my_members=sorted(self.view.membership_set()))
-
-    def _check_acknowledgment(self, obs_list) -> None:
-        """Fold a successor frame into the pending acknowledgment.
-
-        A witness is any valid frame whose time/position agree with ours
-        (its *membership* is precisely the evidence under test).
-        """
-        for observation in obs_list:
-            if not observation.is_valid(self.tolerance.window,
-                                        self.tolerance.threshold):
-                continue
-            frame = observation.frame
-            assert frame is not None
-            if (frame.cstate.global_time != self.cstate.global_time
-                    or frame.cstate.medl_position != self.cstate.medl_position):
-                continue
-            outcome = self.ack.observe_successor(frame.cstate.membership)
-            if outcome is AckOutcome.SEND_FAULT:
-                self._emit(ev.AckFailure, slot=self.slot)
-                self._freeze(FreezeReason.ACK_FAILURE)
-            return
 
     def _dmc_wire_value(self) -> int:
         """The C-state DMC field: pending mode index + 1, 0 = none."""
         return 0 if self.pending_mode is None else self.pending_mode + 1
-
-    def _adopt_deferred_mode(self, obs_list) -> None:
-        """Latch a mode-change request carried by a correct frame."""
-        for observation in obs_list:
-            if not self._frame_correct(observation):
-                continue
-            wire_value = observation.frame.cstate.dmc_mode
-            if wire_value:
-                requested = wire_value - 1
-                if self.modes.valid_mode(requested):
-                    if requested != self.pending_mode:
-                        self.pending_mode = requested
-                        self._emit(ev.DmcLatched, mode=requested)
-                    # Heard from the bus: it is circulating.
-                    self._dmc_announced = True
-            return
-
-    def _deliver_app_data(self, obs_list) -> None:
-        """Deposit the slot's application payload (if any) into the CNI."""
-        for observation in obs_list:
-            if not self._frame_correct(observation):
-                continue
-            frame = observation.frame
-            if isinstance(frame, XFrame) and frame.data_bits:
-                self.cni.deliver(self.slot, frame.data_bits,
-                                 self.cstate.global_time)
-            return  # one delivery per slot (channels are replicas)
-
-    def _frame_correct(self, observation: FrameObservation) -> bool:
-        if not observation.is_valid(self.tolerance.window, self.tolerance.threshold):
-            return False
-        assert observation.frame is not None
-        frame_cstate = observation.frame.cstate
-        if (frame_cstate.global_time != self.cstate.global_time
-                or frame_cstate.medl_position != self.cstate.medl_position):
-            return False
-        if self.config.strict_membership_agreement:
-            # TTP/C membership check: the sender includes itself at its
-            # membership point, so the receiver compares against its own
-            # view with the sender's bit set.
-            expected = self.view.membership_set() | {frame_cstate.medl_position}
-            return frame_cstate.membership == expected
-        return True
 
     def _advance_slot(self) -> None:
         slot_count = self._slot_count
@@ -955,7 +820,7 @@ class TTPController:
         # One slot elapsed; membership snapshot and pending DMC travel in
         # the C-state (single validated-by-construction build per slot).
         pending = self.pending_mode
-        self.cstate = CState._unchecked(
+        self.cstate = self._cstates.cstate(
             (cstate.global_time + 1) % (1 << 16), position,
             self.view.membership_set(),
             0 if pending is None else pending + 1)
@@ -1005,7 +870,7 @@ class TTPController:
 
     def _become_active(self) -> None:
         """Acquire sending rights at the start of the own slot."""
-        self.state = ControllerStateName.ACTIVE
+        self._set_state(ControllerStateName.ACTIVE)
         self.ever_integrated = True
         self.view.reset_round()
         self._judged_since_test = 0
@@ -1039,7 +904,7 @@ class TTPController:
         pending = self.pending_mode
         mcr = 0 if pending is None else pending + 1
         self.view.record_own_send()
-        self.cstate = CState._unchecked(
+        self.cstate = self._cstates.cstate(
             self.cstate.global_time, self.cstate.medl_position,
             self.view.membership_set(), mcr)
         cstate = self._sending_cstate()

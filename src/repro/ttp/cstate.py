@@ -172,3 +172,56 @@ class CState:
         members = ",".join(str(member) for member in sorted(self.membership)) or "-"
         return (f"CState(t={self.global_time}, pos={self.medl_position}, "
                 f"members={{{members}}})")
+
+
+class CStateTable:
+    """One cluster's interned C-states and membership snapshots.
+
+    Every controller of a cluster builds its C-states and membership
+    snapshots through the cluster's table, so a receiver that agrees with a
+    sender on every field holds the very object the sender put in its
+    frame: agreement is one identity test instead of an O(N) membership
+    comparison per receiver and slot.  Identity is only a shortcut -- an
+    object built elsewhere still compares equal field by field.
+
+    Only recent values are kept: ``limit`` keys per generation, two
+    generations, so memory stays flat over arbitrarily long runs (the
+    global time alone makes every slot's C-state new).
+    """
+
+    __slots__ = ("_fresh", "_stale", "_limit")
+
+    def __init__(self, limit: int = 1024) -> None:
+        self._fresh: dict = {}
+        self._stale: dict = {}
+        self._limit = limit
+
+    def cstate(self, global_time: int, medl_position: int,
+               membership: FrozenSet[int], dmc_mode: int) -> CState:
+        """The canonical C-state with these (already in-range) fields;
+        ``membership`` should itself come from :meth:`members`, which makes
+        the lookup O(1)."""
+        key = (global_time, medl_position, membership, dmc_mode)
+        state = self._fresh.get(key)
+        if state is None:
+            state = self._stale.get(key)
+            if state is None:
+                state = CState._unchecked(global_time, medl_position,
+                                          membership, dmc_mode)
+            self._admit(key, state)
+        return state
+
+    def members(self, snapshot: FrozenSet[int]) -> FrozenSet[int]:
+        """The canonical membership snapshot equal to ``snapshot``."""
+        canonical = self._fresh.get(snapshot)
+        if canonical is None:
+            canonical = self._stale.get(snapshot, snapshot)
+            self._admit(snapshot, canonical)
+        return canonical
+
+    def _admit(self, key, value) -> None:
+        fresh = self._fresh
+        if len(fresh) >= self._limit:
+            self._stale = fresh
+            fresh = self._fresh = {}
+        fresh[key] = value

@@ -14,11 +14,11 @@ Membership feeds two mechanisms the paper exercises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from repro.ttp.clique import CliqueCounters
-from repro.ttp.cstate import CState
+from repro.ttp.cstate import CState, CStateTable
 from repro.ttp.frames import FrameObservation
 
 
@@ -42,18 +42,30 @@ class MembershipView:
     of updates per judged slot is the membership hot path -- and exposed
     as a :class:`CliqueCounters` value through the :attr:`counters`
     property (built on demand; the avoidance test runs once per round).
+    Judged and failed slots are counted, not logged, so memory does not
+    grow with the length of the run.
+
+    Membership snapshots are interned in ``table`` (the cluster's
+    :class:`CStateTable`; a private one by default), so views that agree
+    share one snapshot object.
     """
 
-    __slots__ = ("own_slot", "members", "history", "_agreed", "_failed",
-                 "_cap", "_snapshot", "_snapshot_of")
+    __slots__ = ("own_slot", "members", "judged_slots", "failed_slots",
+                 "_agreed",
+                 "_failed", "_cap", "_table", "_snapshot",
+                 "_snapshot_of")
 
-    def __init__(self, own_slot: int) -> None:
+    def __init__(self, own_slot: int,
+                 table: Optional[CStateTable] = None) -> None:
         self.own_slot = own_slot
         self.members: set = set()
-        self.history: List[SlotJudgment] = []
+        #: Slots judged and slots failed over the whole run (diagnostics).
+        self.judged_slots = 0
+        self.failed_slots = 0
         self._agreed = 0
         self._failed = 0
         self._cap = CliqueCounters().cap
+        self._table = table if table is not None else CStateTable()
         #: Cached :meth:`membership_set` snapshot.  Valid only while it was
         #: built from the *current* ``members`` object (callers may reassign
         #: ``members`` wholesale; in-class mutations invalidate explicitly).
@@ -93,23 +105,29 @@ class MembershipView:
 
     def apply_judgment(self, judgment: SlotJudgment) -> None:
         """Fold one slot verdict into membership and counters."""
-        self.history.append(judgment)
+        self.apply_verdict(judgment.slot_id, judgment.correct, judgment.null)
+
+    def apply_verdict(self, slot_id: int, correct: bool, null: bool) -> None:
+        """:meth:`apply_judgment` without building a :class:`SlotJudgment`
+        (the controller's per-slot path)."""
+        self.judged_slots += 1
         members = self.members
-        if judgment.correct:
-            if judgment.slot_id not in members:
-                members.add(judgment.slot_id)
+        if correct:
+            if slot_id not in members:
+                members.add(slot_id)
                 self._snapshot = None
             if self._agreed < self._cap:
                 self._agreed += 1
-        elif judgment.null:
+        elif null:
             # Silence: the sender may simply have nothing scheduled; TTP/C
             # removes it from membership but counts neither way.
-            if judgment.slot_id in members:
-                members.discard(judgment.slot_id)
+            if slot_id in members:
+                members.discard(slot_id)
                 self._snapshot = None
         else:
-            if judgment.slot_id in members:
-                members.discard(judgment.slot_id)
+            self.failed_slots += 1
+            if slot_id in members:
+                members.discard(slot_id)
                 self._snapshot = None
             if self._failed < self._cap:
                 self._failed += 1
@@ -124,11 +142,11 @@ class MembershipView:
             self._agreed += 1
 
     def membership_set(self) -> FrozenSet[int]:
-        """Immutable snapshot for embedding into a C-state."""
+        """Immutable (interned) snapshot for embedding into a C-state."""
         snapshot = self._snapshot
         if snapshot is not None and self._snapshot_of is self.members:
             return snapshot
-        snapshot = frozenset(self.members)
+        snapshot = self._table.members(frozenset(self.members))
         self._snapshot = snapshot
         self._snapshot_of = self.members
         return snapshot
@@ -144,7 +162,6 @@ class MembershipView:
 
     def failed_ratio(self) -> float:
         """Fraction of judged slots that failed (diagnostics)."""
-        if not self.history:
+        if not self.judged_slots:
             return 0.0
-        failed = sum(1 for judgment in self.history if judgment.failed)
-        return failed / len(self.history)
+        return self.failed_slots / self.judged_slots

@@ -168,3 +168,21 @@ def test_babbling_node_contained_by_central_guardian():
 def test_cluster_spec_rejects_unknown_topology():
     with pytest.raises(ValueError):
         Cluster(ClusterSpec(topology="ring"))
+
+
+def test_host_frozen_node_holds_no_per_frame_state():
+    """A frozen node neither buffers frames nor pins the receive log."""
+    from repro.network.topology import LOG_TRIM_AT
+
+    cluster = run_cluster(ClusterSpec(topology="star"), rounds=10.0)
+    frozen = cluster.controllers["B"]
+    frozen.host_freeze()
+    cluster.run(rounds=200.0)
+    assert frozen.state is ControllerStateName.FREEZE
+    assert frozen.log_cursor is None
+    assert not frozen.synchronizer.measurements
+    assert not hasattr(frozen, "_mailbox")
+    # 200 rounds put 1,200 entries through the log; the three live
+    # readers consume theirs every slot, so trimming keeps it short.
+    assert cluster.topology.log_end > 1000
+    assert len(cluster.topology.log) <= LOG_TRIM_AT

@@ -7,8 +7,10 @@ judgment bookkeeping) against hand-built inputs.
 
 import pytest
 
-from repro.network.signal import ReceiverTolerance
+from repro.network.channel import Transmission
+from repro.network.signal import ReceiverTolerance, SignalShape
 from repro.sim.engine import Simulator
+from repro.ttp.constants import ControllerStateName
 from repro.ttp.controller import ControllerConfig, TTPController
 from repro.ttp.cstate import CState
 from repro.ttp.frames import FrameObservation, IFrame
@@ -16,14 +18,24 @@ from repro.ttp.medl import Medl
 
 
 class DummyTopology:
-    """Just enough topology for a controller to be constructed."""
+    """Just enough topology for a controller to be constructed and to
+    judge a hand-built slot off its receive log."""
 
     def __init__(self):
         self.channels = [object(), object()]
         self.sent = []
+        self.log = []
+        self.log_base = 0
 
-    def attach_receiver(self, callback):
+    @property
+    def log_end(self):
+        return self.log_base + len(self.log)
+
+    def attach_reader(self, reader, callback):
         self.receiver = callback
+
+    def set_listening(self, callback, on):
+        pass
 
     def send(self, source, frame, duration, shape=None):
         self.sent.append((source, frame, duration))
@@ -46,7 +58,29 @@ def observation(cstate, **kwargs):
                                          cstate=cstate), **kwargs)
 
 
-# -- _frame_correct -----------------------------------------------------------------
+def frame_correct(controller, seen):
+    """Whether the slot judge accepts ``seen`` as a correct frame.
+
+    Judges one slot whose only traffic is ``seen`` on channel 0, then
+    restores the membership view, so each call is independent.
+    """
+    controller._set_state(ControllerStateName.PASSIVE)
+    frame = seen.frame
+    shape = SignalShape(level=seen.signal_level,
+                        timing_offset=seen.timing_offset)
+    controller.topology.log.append(
+        (0, Transmission(frame=frame, source="C", start_time=0.0,
+                         duration=1.0, shape=shape), seen.corrupted, 1.0))
+    controller.slot = frame.cstate.medl_position
+    members = set(controller.view.members)
+    agreed = controller.view.counters.agreed
+    controller._judge_completed_slot()
+    correct = controller.view.counters.agreed > agreed
+    controller.view.members = members
+    return correct
+
+
+# -- frame correctness (through the slot judge) ----------------------------------------
 
 
 def test_frame_correct_requires_time_and_position():
@@ -55,13 +89,13 @@ def test_frame_correct_requires_time_and_position():
     controller.view.members = {1, 2}
     good = CState(global_time=5, medl_position=3,
                   membership=frozenset({1, 2, 3}))
-    assert controller._frame_correct(observation(good))
+    assert frame_correct(controller, observation(good))
     wrong_time = CState(global_time=6, medl_position=3,
                         membership=frozenset({1, 2, 3}))
-    assert not controller._frame_correct(observation(wrong_time))
+    assert not frame_correct(controller, observation(wrong_time))
     wrong_pos = CState(global_time=5, medl_position=2,
                        membership=frozenset({1, 2, 3}))
-    assert not controller._frame_correct(observation(wrong_pos))
+    assert not frame_correct(controller, observation(wrong_pos))
 
 
 def test_frame_correct_sender_inclusion_rule():
@@ -71,7 +105,7 @@ def test_frame_correct_sender_inclusion_rule():
     controller.view.members = {1, 2}
     without_self = CState(global_time=5, medl_position=3,
                           membership=frozenset({1, 2}))
-    assert not controller._frame_correct(observation(without_self))
+    assert not frame_correct(controller, observation(without_self))
 
 
 def test_frame_correct_loose_mode_ignores_membership():
@@ -80,7 +114,7 @@ def test_frame_correct_loose_mode_ignores_membership():
     controller.view.members = {1, 2}
     odd_membership = CState(global_time=5, medl_position=3,
                             membership=frozenset({9}))
-    assert controller._frame_correct(observation(odd_membership))
+    assert frame_correct(controller, observation(odd_membership))
 
 
 def test_frame_correct_rejects_invalid_signal():
@@ -88,8 +122,8 @@ def test_frame_correct_rejects_invalid_signal():
     controller.cstate = CState(global_time=5, medl_position=3)
     controller.view.members = set()
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
-    assert not controller._frame_correct(observation(good, corrupted=True))
-    assert not controller._frame_correct(observation(good, signal_level=0.1))
+    assert not frame_correct(controller, observation(good, corrupted=True))
+    assert not frame_correct(controller, observation(good, signal_level=0.1))
 
 
 def test_frame_correct_respects_receiver_tolerance():
@@ -102,7 +136,7 @@ def test_frame_correct_respects_receiver_tolerance():
     strict.view.members = set()
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
     marginal = observation(good, signal_level=0.8)
-    assert not strict._frame_correct(marginal)
+    assert not frame_correct(strict, marginal)
 
 
 # -- DMC wire encoding ---------------------------------------------------------------

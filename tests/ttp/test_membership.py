@@ -104,8 +104,16 @@ def test_failed_ratio_empty_history():
     assert make_view().failed_ratio() == 0.0
 
 
-def test_history_records_every_judgment():
+def test_run_counters_count_every_judgment():
+    """Judged and failed slots are counted over the whole run, across
+    clique rounds, without keeping one record per slot."""
     view = make_view()
     for slot_id in (2, 3, 4):
         view.apply_judgment(SlotJudgment(slot_id=slot_id, correct=True, null=False))
-    assert [judgment.slot_id for judgment in view.history] == [2, 3, 4]
+    view.reset_round()
+    view.apply_verdict(2, False, False)
+    view.apply_verdict(3, False, True)
+    assert view.judged_slots == 5
+    assert view.failed_slots == 1
+    assert view.counters.total == 1
+    assert not hasattr(view, "history")
