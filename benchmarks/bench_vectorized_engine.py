@@ -19,9 +19,10 @@ small-shifting PASS configuration EXP-P1 is anchored to:
 * **intra-config jobs** -- wall-clock of ``--jobs 2`` (frontier
   sharding) against the packed baseline on the same single
   configuration.  Both gates anchor to the *recorded* EXP-P1 packed rate
-  rather than a live re-run: a same-process packed re-check hits the
-  model's per-state successor memoization and measures dict lookups, not
-  the engine.  On a single-core host the sharder degrades to serial
+  rather than a live re-run: the x10 claim is against the packed engine
+  as it was when the vectorized engine came in, and a fixed anchor moves
+  with neither host load nor later packed-engine changes.  On a
+  single-core host the sharder degrades to serial
   (``effective_jobs`` capping), so a separate *forced* 2-worker pool run
   proves the scatter/gather path returns the identical state set
   (reported, not gated: a real pool on one core only adds overhead).

@@ -27,15 +27,17 @@ Packed fast path
 Because the codec is positional, each node's six variables occupy one
 contiguous digit block of the packed integer, and a successor state is the
 *sum* of per-node contributions plus a buffers/budget tail -- all small-int
-arithmetic over three memo tables:
+arithmetic over two memo tables:
 
 * ``(node, local-code, channels) -> shifted next-local codes`` caches the
   Section 4.3 node relation (the dominant cost of the tuple path),
 * ``(nominal, buffers, budget) -> fault-choice contexts`` caches the
-  Section 4.4 coupler fault enumeration,
-* ``packed state -> packed successors`` is an LRU over whole states, which
-  pays off when states are revisited (Monte-Carlo walks, repeated checks
-  on one model instance).
+  Section 4.4 coupler fault enumeration.
+
+Neither is keyed by global state (a breadth-first search expands each
+state once), so both stay small while the search grows.  Per fault
+context, nodes with a single next local fold into one scalar base and
+only the nodes with several options are expanded as a product.
 
 The packed enumeration preserves the exact successor order of
 :meth:`successors`, so a breadth-first search over codes visits states in
@@ -97,13 +99,11 @@ _VARS_PER_NODE = 6
 class TTAStartupModel:
     """The Section 4 model as an explicit transition system."""
 
-    def __init__(self, config: ModelConfig,
-                 successor_cache_size: int = 1 << 18) -> None:
+    def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self.space = self._build_space()
         self._node_ids = config.node_ids
         self._has_buffers = config.couplers_can_buffer
-        self._successor_cache_size = successor_cache_size
         self._codec: Optional[StateCodec] = None
         self._packed_ready = False
 
@@ -269,7 +269,7 @@ class TTAStartupModel:
 
         The label-free sibling of :meth:`successors` for callers that only
         need the targets (reachability counts, deadlock scans).  Backed by
-        the packed fast path, so repeated calls hit the successor cache.
+        the packed fast path, which keeps the :meth:`successors` order.
         """
         codec = self.codec
         unpack = codec.unpack
@@ -310,7 +310,6 @@ class TTAStartupModel:
         self._cache_sent: Dict[int, str] = {}
         self._cache_step: Dict[int, Tuple[int, ...]] = {}
         self._cache_fault_ctx: Dict[Tuple[tuple, int], List[tuple]] = {}
-        self._cache_successors: Dict[int, Tuple[int, ...]] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
         #: Reverse intern table: pair id -> (channel0, channel1).
@@ -418,11 +417,12 @@ class TTAStartupModel:
         self._cache_fault_ctx[(nominal_signature, tail_code)] = contexts
         return contexts
 
-    def _build_node_options(self, node_index: int, local_code: int,
-                            step_key: int,
+    def _build_node_options(self, step_key: int,
                             channels: Tuple[ChannelContent, ChannelContent]
                             ) -> Tuple[int, ...]:
         """Shifted packed codes of one node's next locals (memo miss path)."""
+        local_code, node_index = divmod(step_key >> self._PAIR_KEY_BITS,
+                                        self._node_count)
         local = self._decode_local(local_code)
         scale = self._node_scale[node_index]
         options = tuple(self._encode_local(next_local) * scale
@@ -442,32 +442,26 @@ class TTAStartupModel:
         Pure integer composition: per fault choice, the successor set is the
         cartesian product of each node's cached next-local contributions,
         realised as sums -- no tuples, no Transition objects, no labels.
+        Single-option nodes add into one base; only the others are expanded,
+        in node order, so the product order is that of :meth:`successors`.
         """
         if not self._packed_ready:
             self._build_packed_tables()
-        cache = self._cache_successors
-        cached = cache.get(code)
-        if cached is not None:
-            # Move-to-end keeps the eviction order LRU rather than FIFO.
-            del cache[code]
-            cache[code] = cached
-            return cached
-
         block_radix = self._block_radix
         node_count = self._node_count
+        pair_bits = self._PAIR_KEY_BITS
         sent_cache = self._cache_sent
         rest = code
-        local_codes = []
+        # Per node, its step-memo key without the channel-pair bits.
+        node_keys = []
         senders = []
         for node_index in range(node_count):
             rest, local_code = divmod(rest, block_radix)
-            local_codes.append(local_code)
-            sent_key = local_code * node_count + node_index
-            kind = sent_cache.get(sent_key)
+            node_key = local_code * node_count + node_index
+            node_keys.append(node_key << pair_bits)
+            kind = sent_cache.get(node_key)
             if kind is None:
-                kind = frame_sent(self._decode_local(local_code),
-                                  node_index + 1)
-                sent_cache[sent_key] = kind
+                kind = self.sent_kind(node_index, local_code)
             if kind != "none":
                 senders.append((node_index + 1, kind))
         # rest now holds the tail digits (buffers + out-of-slot budget).
@@ -483,36 +477,29 @@ class TTAStartupModel:
         if contexts is None:
             contexts = self._build_fault_contexts(nominal_signature, rest)
 
-        pair_bits = self._PAIR_KEY_BITS
         step_cache = self._cache_step
-        seen: Dict[int, None] = {}
-        for channels, pair_key, tail_contribution in contexts:
-            totals = [tail_contribution]
-            for node_index in range(node_count):
-                local_code = local_codes[node_index]
-                step_key = ((local_code * node_count + node_index)
-                            << pair_bits) | pair_key
+        found: List[int] = []
+        for channels, pair_key, base in contexts:
+            # Sums over the multi-option nodes so far, in product order.
+            totals = None
+            for node_key in node_keys:
+                step_key = node_key | pair_key
                 options = step_cache.get(step_key)
                 if options is None:
-                    options = self._build_node_options(node_index, local_code,
-                                                       step_key, channels)
+                    options = self._build_node_options(step_key, channels)
                 if len(options) == 1:
-                    option = options[0]
-                    totals = [total + option for total in totals]
+                    base += options[0]
+                elif totals is None:
+                    totals = options
                 else:
                     totals = [total + option
                               for total in totals for option in options]
-            for total in totals:
-                if total not in seen:
-                    seen[total] = None
-
-        result = tuple(seen)
-        if len(cache) >= self._successor_cache_size:
-            # LRU eviction: hits reinsert their entry, so the first key is
-            # always the least recently used one.
-            cache.pop(next(iter(cache)))
-        cache[code] = result
-        return result
+            if totals is None:
+                found.append(base)
+            else:
+                found.extend([base + total for total in totals])
+        # First-occurrence dedup across fault contexts.
+        return tuple(dict.fromkeys(found))
 
     # -- vectorized-engine hooks --------------------------------------------------
     #

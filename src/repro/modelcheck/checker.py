@@ -201,11 +201,12 @@ class InvariantChecker:
       are wrapped in :class:`~repro.modelcheck.encode.PackedSystemAdapter`
       (every variable must declare a domain);
     * ``"tuple"`` -- force the classic tuple search;
-    * ``"vectorized"`` -- batched NumPy frontier search; needs numpy and
-      a system with a native batch path (``packed_successors_batch`` +
-      ``packed_geometry``), otherwise it *warns and falls back* to the
-      packed engine (the result's ``engine`` field records what actually
-      ran).
+    * ``"vectorized"`` -- batched NumPy frontier search; needs numpy, a
+      system with a native batch path (``packed_successors_batch`` +
+      ``packed_geometry``) and node blocks that fit one uint64 word (up
+      to 4 slots of the TTA model), otherwise it *warns and falls back*
+      to the packed engine (the result's ``engine`` field records what
+      actually ran).
 
     ``symmetry`` (vectorized engine only) enables rotational symmetry
     reduction when it is provably sound for the model and invariant at
@@ -268,6 +269,17 @@ class InvariantChecker:
             warnings.warn(
                 "vectorized engine needs numpy; falling back to the "
                 "packed engine", RuntimeWarning, stacklevel=3)
+            return None
+        # The kernel keeps every node block in one uint64 word with a bit
+        # of headroom (see repro.modelcheck.vector).
+        block_radix, node_count, _ = self.system.packed_geometry()
+        word_bits = (block_radix ** node_count - 1).bit_length()
+        if word_bits > 63:
+            warnings.warn(
+                f"vectorized engine needs the {node_count} node blocks in "
+                f"one uint64 word, but they need {word_bits} bits; "
+                f"falling back to the packed engine",
+                RuntimeWarning, stacklevel=3)
             return None
         return self.system
 

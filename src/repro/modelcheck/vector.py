@@ -18,9 +18,11 @@ the node/tail boundary of the packed layout::
     word = sum_i local_i * block_radix**i     (node blocks, fits uint64)
     tail = buffers + out-of-slot budget digits (small int)
 
-``word`` carries all per-node digits and stays below ``2**63`` for any
-model this repo builds (asserted at kernel construction); ``tail`` is a
-small enumeration (<= a few thousand values) kept in ``int64``.
+``word`` carries all per-node digits and must stay below ``2**63``
+(checked at kernel construction).  That holds up to 4 slots; at 5 the
+word needs 82 bits, and :class:`~repro.modelcheck.checker.InvariantChecker`
+falls back to the packed engine.  ``tail`` is a small enumeration (<= a
+few thousand values) kept in ``int64``.
 
 Per-level kernel
 ----------------

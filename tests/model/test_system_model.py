@@ -4,8 +4,10 @@
 from repro.core.authority import CouplerAuthority
 from repro.model.config import ModelConfig
 from repro.model.node_model import ST_FREEZE, ST_LISTEN
+from repro.model.properties import no_clique_freeze
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import UNLIMITED, TTAStartupModel
+from repro.modelcheck.checker import InvariantChecker
 
 
 def passive_model():
@@ -106,3 +108,18 @@ def test_listen_node_progression_reachable():
             found_listen = True
             assert view.a_timeout == 5  # slots + node_id = 4 + 1
     assert found_listen
+
+
+def test_memo_tables_stay_far_below_the_state_count():
+    """The packed path memoizes per local state x channel pair, never per
+    global state: after the full slots-4 full_shifting check the
+    ``_cache_*`` tables together hold far fewer entries than the states
+    explored (1,364 against 20,806)."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
+    model = TTAStartupModel(config)
+    result = InvariantChecker(model).check(no_clique_freeze(config))
+    assert result.engine == "packed"
+    assert result.states_explored == 20_806
+    entries = sum(len(table) for name, table in vars(model).items()
+                  if name.startswith("_cache_"))
+    assert 0 < entries * 10 < result.states_explored

@@ -4,14 +4,18 @@ shortest counterexamples (states *and* labels) -- on the paper's own
 configurations.  The packed path is an optimisation, never a semantics
 change."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.authority import CouplerAuthority, all_authorities
 from repro.core.verification import expected_verdicts, verify_authority
+from repro.model.coupler_model import (SILENT, ChannelContent,
+                                       enumerate_fault_choices)
 from repro.model.properties import no_clique_freeze
 from repro.model.scenarios import (scenario_for_authority, trace1_scenario,
                                    trace2_scenario)
-from repro.model.system_model import TTAStartupModel
+from repro.model.system_model import UNLIMITED, TTAStartupModel
 from repro.modelcheck.checker import InvariantChecker, check_invariant
 from repro.modelcheck.model import ExplicitTransitionSystem
 from repro.modelcheck.state import StateSpace, Variable
@@ -110,3 +114,62 @@ def test_successors_batch_matches_successors():
             if transition.target not in expected:
                 expected.append(transition.target)
         assert system.successors_batch(state) == expected
+
+
+def bfs_sample(system, reach, size):
+    """About ``size`` packed codes spread evenly over the first ``reach``
+    states of the packed BFS order, so the sample covers every depth the
+    prefix reaches, not just the silent start-up levels."""
+    order = list(dict.fromkeys(system.packed_initial_states()))
+    seen = set(order)
+    position = 0
+    while len(order) < reach and position < len(order):
+        for target in system.packed_successors(order[position]):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+        position += 1
+    return order[:reach:max(1, min(reach, len(order)) // size)]
+
+
+def fault_choice_count(system, state):
+    """How many fault contexts the model enumerates in ``state``."""
+    view = system.space.view(state)
+    if not system.config.couplers_can_buffer:
+        return len(list(enumerate_fault_choices(system.config,
+                                                [SILENT, SILENT], 0)))
+    buffers = [ChannelContent(view.c0_buf_kind, view.c0_buf_id),
+               ChannelContent(view.c1_buf_kind, view.c1_buf_id)]
+    budget = 1 if view.oos_left == UNLIMITED else view.oos_left
+    return len(list(enumerate_fault_choices(system.config, buffers, budget)))
+
+
+def test_packed_successor_order_matches_tuple_order_on_reached_states():
+    """On reached states of every slots-4 authority and of the slots-5
+    full_shifting check, ``packed_successors`` lists the same targets as
+    first-occurrence-deduplicated ``successors``, in the same order.  BFS
+    order, ``states_explored`` at a violation and the counterexample all
+    depend on it."""
+    cases = [(authority, 4, 25_000) for authority in all_authorities()]
+    cases.append((CouplerAuthority.FULL_SHIFTING, 5, 30_000))
+    fault_counts = set()
+    multi_option_states = 0
+    for authority, slots, reach in cases:
+        system = TTAStartupModel(scenario_for_authority(authority,
+                                                        slots=slots))
+        codec = system.codec
+        for code in bfs_sample(system, reach, 1_500):
+            state = codec.unpack(code)
+            transitions = list(system.successors(state))
+            expected = list(dict.fromkeys(codec.pack(transition.target)
+                                          for transition in transitions))
+            assert list(system.packed_successors(code)) == expected
+            fault_counts.add(fault_choice_count(system, state))
+            per_fault = Counter(transition.label["fault"]
+                                for transition in transitions)
+            if max(per_fault.values()) > 1:
+                multi_option_states += 1
+    # The sample reaches the shapes the composition special-cases: states
+    # where some node has two next locals, and four fault contexts.
+    assert multi_option_states > 0
+    assert 4 in fault_counts

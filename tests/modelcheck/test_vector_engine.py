@@ -125,6 +125,30 @@ def test_vectorized_falls_back_for_systems_without_batch_path():
     assert len(result.counterexample) == 7
 
 
+@pytest.mark.parametrize("engine", ["auto", "packed", "vectorized"])
+def test_five_slots_runs_on_every_engine(engine):
+    """At 5 slots the node blocks need 82 bits, past one uint64 word: the
+    vectorized engine warns and falls back to packed instead of raising
+    ``OverflowError``; auto and packed run without a warning."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING, slots=5)
+    checker = InvariantChecker(TTAStartupModel(config), max_states=2_000,
+                               engine=engine)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = checker.check(no_clique_freeze(config))
+    messages = [str(warning.message) for warning in caught
+                if issubclass(warning.category, RuntimeWarning)]
+    assert result.engine == "packed"
+    assert result.truncated
+    assert result.states_explored == 2_000
+    if engine == "vectorized":
+        assert len(messages) == 1
+        assert "82 bits" in messages[0]
+        assert "falling back to the packed engine" in messages[0]
+    else:
+        assert messages == []
+
+
 def test_checker_rejects_bad_jobs():
     config = scenario_for_authority(CouplerAuthority.PASSIVE)
     with pytest.raises(ValueError, match="jobs"):
