@@ -26,6 +26,7 @@ from repro.analysis.tables import format_table
 from repro.core.authority import CouplerAuthority
 from repro.core.verification import verify_all_authorities, verify_config
 from repro.model.scenarios import trace1_scenario, trace2_scenario
+from repro.modelcheck.checker import ENGINES
 
 
 def _positive_int(text: str) -> int:
@@ -71,7 +72,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_all_authorities(slots=args.slots, engine=args.engine,
                                      jobs=args.jobs,
-                                     symmetry=not args.no_symmetry,
                                      **_resilience_kwargs(args))
     rows = []
     for authority, result in results.items():
@@ -459,8 +459,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     all_conform = True
     for name in names:
         scenario = SCENARIOS[name]
-        result = verify_config(scenario.model_config(), engine=args.engine,
-                               symmetry=not args.no_symmetry)
+        result = verify_config(scenario.model_config(), engine=args.engine)
         if result.counterexample is None:
             print(f"{name}: model produced no counterexample to replay")
             all_conform = False
@@ -491,19 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--slots", type=int, default=4)
     verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="fan the four checks out over N worker "
-                             "processes; with --engine vectorized, shard "
-                             "each check's BFS frontier across N workers "
-                             "instead (default: serial)")
-    verify.add_argument("--engine",
-                        choices=("auto", "packed", "tuple", "vectorized"),
-                        default="auto",
+                             "processes (default: serial)")
+    verify.add_argument("--engine", choices=ENGINES, default="auto",
                         help="state representation for the BFS core "
-                             "(default: auto = packed when available; "
-                             "vectorized = batched NumPy frontiers)")
-    verify.add_argument("--no-symmetry", action="store_true",
-                        dest="no_symmetry",
-                        help="disable the vectorized engine's rotational "
-                             "symmetry reduction even where it is sound")
+                             "(default: auto = packed when available)")
     _add_resilience_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -590,16 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "report slot-level agreement")
     conform.add_argument("scenario", choices=["trace1", "trace2", "all"],
                          help="which paper counterexample to replay")
-    conform.add_argument("--engine",
-                         choices=("auto", "packed", "tuple", "vectorized"),
-                         default="auto",
+    conform.add_argument("--engine", choices=ENGINES, default="auto",
                          help="state representation for the BFS core "
-                              "(default: auto = packed when available; "
-                              "vectorized = batched NumPy frontiers)")
-    conform.add_argument("--no-symmetry", action="store_true",
-                         dest="no_symmetry",
-                         help="disable the vectorized engine's rotational "
-                              "symmetry reduction even where it is sound")
+                              "(default: auto = packed when available)")
     conform.add_argument("--jsonl", default=None,
                          help="also export the DES event stream to this "
                               "file (per-scenario suffix with 'all')")

@@ -66,19 +66,10 @@ class VerificationResult:
 
 def verify_config(config: ModelConfig,
                   max_states: Optional[int] = None,
-                  engine: str = "auto",
-                  symmetry: bool = True,
-                  jobs: Optional[int] = None) -> VerificationResult:
-    """Model-check the Section 5.1 property on an explicit configuration.
-
-    ``symmetry`` and ``jobs`` only apply to the vectorized engine:
-    symmetry reduction when provably sound, and intra-check frontier
-    sharding across ``jobs`` workers (see
-    :mod:`repro.modelcheck.shard`).
-    """
+                  engine: str = "auto") -> VerificationResult:
+    """Model-check the Section 5.1 property on an explicit configuration."""
     system = TTAStartupModel(config)
-    checker = InvariantChecker(system, max_states=max_states, engine=engine,
-                               symmetry=symmetry, jobs=jobs)
+    checker = InvariantChecker(system, max_states=max_states, engine=engine)
     check = checker.check(no_clique_freeze(config))
     return VerificationResult(authority=config.authority, config=config,
                               check=check)
@@ -88,21 +79,17 @@ def verify_authority(authority: CouplerAuthority,
                      slots: int = 4,
                      out_of_slot_budget: Optional[int] = 1,
                      max_states: Optional[int] = None,
-                     engine: str = "auto",
-                     symmetry: bool = True,
-                     jobs: Optional[int] = None) -> VerificationResult:
+                     engine: str = "auto") -> VerificationResult:
     """Model-check the property for one coupler authority level."""
     config = scenario_for_authority(authority, slots=slots,
                                     out_of_slot_budget=out_of_slot_budget)
-    return verify_config(config, max_states=max_states, engine=engine,
-                         symmetry=symmetry, jobs=jobs)
+    return verify_config(config, max_states=max_states, engine=engine)
 
 
 def verify_all_authorities(slots: int = 4,
                            out_of_slot_budget: Optional[int] = 1,
                            engine: str = "auto",
                            jobs: Optional[int] = None,
-                           symmetry: bool = True,
                            retries: int = 0,
                            task_timeout: Optional[float] = None,
                            checkpoint: Optional[str] = None,
@@ -113,11 +100,7 @@ def verify_all_authorities(slots: int = 4,
 
     The four checks are independent; ``jobs`` fans them out over a
     process pool (see :mod:`repro.modelcheck.parallel`) with verdicts and
-    counterexamples identical to the serial loop.  With the *vectorized*
-    engine the parallelism turns inward instead: the matrix runs
-    serially and ``jobs`` shards each check's BFS frontier across
-    workers (:mod:`repro.modelcheck.shard`) -- on one configuration a
-    task-level fan-out cannot help, frontier sharding can.
+    counterexamples identical to the serial loop.
 
     The resilience knobs route the matrix through a
     :class:`repro.exec.TaskRunner`: ``retries`` re-runs failing checks
@@ -136,12 +119,6 @@ def verify_all_authorities(slots: int = 4,
         runner = TaskRunner(max_workers=jobs if jobs is not None else 1,
                             retries=retries, task_timeout=task_timeout,
                             checkpoint=checkpoint, resume=resume)
-    if engine == "vectorized" and runner is None:
-        return {authority: verify_authority(
-                    authority, slots=slots,
-                    out_of_slot_budget=out_of_slot_budget, engine=engine,
-                    symmetry=symmetry, jobs=jobs)
-                for authority in all_authorities()}
     if runner is not None or (jobs is not None and jobs != 1):
         from repro.modelcheck.parallel import verify_authorities_parallel
 
@@ -154,8 +131,7 @@ def verify_all_authorities(slots: int = 4,
             for authority in all_authorities()}
 
 
-def cross_validate(scenario: str = "trace1", engine: str = "auto",
-                   symmetry: bool = True):
+def cross_validate(scenario: str = "trace1", engine: str = "auto"):
     """EXP-S3: replay a paper counterexample on the DES cluster and check
     slot-level agreement (see :mod:`repro.conformance`).
 
@@ -163,7 +139,7 @@ def cross_validate(scenario: str = "trace1", engine: str = "auto",
     """
     from repro.conformance import conform_scenario
 
-    return conform_scenario(scenario, engine=engine, symmetry=symmetry)
+    return conform_scenario(scenario, engine=engine)
 
 
 def expected_verdicts() -> Dict[CouplerAuthority, bool]:

@@ -312,10 +312,6 @@ class TTAStartupModel:
         self._cache_fault_ctx: Dict[Tuple[tuple, int], List[tuple]] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
-        #: Reverse intern table: pair id -> (channel0, channel1).
-        self._cache_pair_list: List[Tuple[ChannelContent, ChannelContent]] = []
-        #: Unshifted node-step options (vectorized engine's step tables).
-        self._cache_step_raw: Dict[int, Tuple[int, ...]] = {}
         self._packed_ready = True
 
     def _encode_local(self, local: NodeLocal) -> int:
@@ -349,7 +345,6 @@ class TTAStartupModel:
             if interned >= 1 << self._PAIR_KEY_BITS:  # pragma: no cover
                 raise AssertionError("channel-pair intern table overflow")
             self._cache_pair_key[key] = interned
-            self._cache_pair_list.append((channel0, channel1))
         return interned
 
     def _decode_tail(self, tail_code: int) -> Tuple[List[ChannelContent], int]:
@@ -461,7 +456,9 @@ class TTAStartupModel:
             node_keys.append(node_key << pair_bits)
             kind = sent_cache.get(node_key)
             if kind is None:
-                kind = self.sent_kind(node_index, local_code)
+                kind = frame_sent(self._decode_local(local_code),
+                                  node_index + 1)
+                sent_cache[node_key] = kind
             if kind != "none":
                 senders.append((node_index + 1, kind))
         # rest now holds the tail digits (buffers + out-of-slot budget).
@@ -500,94 +497,6 @@ class TTAStartupModel:
                 found.extend([base + total for total in totals])
         # First-occurrence dedup across fault contexts.
         return tuple(dict.fromkeys(found))
-
-    # -- vectorized-engine hooks --------------------------------------------------
-    #
-    # The batched frontier kernel (repro/modelcheck/vector.py) composes
-    # whole-frontier successor arrays from the same three memo families the
-    # scalar path uses.  These accessors expose them without the kernel
-    # reaching into ``_cache_*`` internals, and fill misses through the
-    # identical scalar code so both engines stay bit-for-bit consistent.
-
-    def ensure_packed_tables(self) -> None:
-        """Build the packed digit geometry/memos if not built yet."""
-        if not self._packed_ready:
-            self._build_packed_tables()
-
-    def packed_geometry(self) -> Tuple[int, int, int]:
-        """``(block_radix, node_count, tail_scale)`` of the packed layout.
-
-        A packed code splits as ``code = word + tail * tail_scale`` where
-        ``word`` holds the node blocks (node ``i`` scaled by
-        ``block_radix ** i``) and ``tail`` the buffers + budget digits.
-        """
-        self.ensure_packed_tables()
-        return self._block_radix, self._node_count, self._tail_scale
-
-    def sent_kind(self, node_index: int, local_code: int) -> str:
-        """Frame kind ('none'/'c_state'/'cold_start') one node drives."""
-        self.ensure_packed_tables()
-        sent_key = local_code * self._node_count + node_index
-        kind = self._cache_sent.get(sent_key)
-        if kind is None:
-            kind = frame_sent(self._decode_local(local_code), node_index + 1)
-            self._cache_sent[sent_key] = kind
-        return kind
-
-    def fault_contexts(self, nominal_signature: Tuple[str, int],
-                       tail_code: int) -> List[tuple]:
-        """Cached fault contexts for one ``(nominal, tail)`` step context
-        (see :meth:`_build_fault_contexts` for the entry layout)."""
-        self.ensure_packed_tables()
-        contexts = self._cache_fault_ctx.get((nominal_signature, tail_code))
-        if contexts is None:
-            contexts = self._build_fault_contexts(nominal_signature, tail_code)
-        return contexts
-
-    def pair_channels(self, pair_key: int
-                      ) -> Tuple[ChannelContent, ChannelContent]:
-        """The two channel contents behind an interned pair id."""
-        return self._cache_pair_list[pair_key]
-
-    def node_option_codes(self, node_index: int, local_code: int,
-                          pair_key: int) -> Tuple[int, ...]:
-        """*Unshifted* next-local codes of one node under one channel pair.
-
-        Same enumeration as :meth:`_build_node_options` but without the
-        ``block_radix ** node_index`` scale -- the vectorized kernel
-        applies scales as array multiplies, so one table entry serves a
-        local code at any node position with the same node id.
-        """
-        key = ((local_code * self._node_count + node_index)
-               << self._PAIR_KEY_BITS) | pair_key
-        raw = self._cache_step_raw.get(key)
-        if raw is None:
-            channels = self._cache_pair_list[pair_key]
-            local = self._decode_local(local_code)
-            raw = tuple(self._encode_local(next_local)
-                        for next_local in node_step(
-                            self.config, self._node_ids[node_index],
-                            local, channels))
-            self._cache_step_raw[key] = raw
-        return raw
-
-    def packed_successors_batch(self, words: "object", tails: "object"):
-        """Whole-frontier successor computation (vectorized kernel).
-
-        ``words``/``tails`` are aligned numpy arrays in the split
-        representation of :meth:`packed_geometry`.  Returns
-        ``(succ_words, succ_tails, parent_index)`` with successors
-        deduplicated *per parent* (matching the per-state dedup of
-        :meth:`packed_successors`, so transition counts agree), in an
-        engine-defined order.  Requires numpy.
-        """
-        kernel = getattr(self, "_cache_vector_kernel", None)
-        if kernel is None:
-            from repro.modelcheck.vector import VectorKernel
-
-            kernel = VectorKernel(self)
-            self._cache_vector_kernel = kernel
-        return kernel.successors_batch(words, tails)
 
     # -- labels ------------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ first state violating the invariant yields a counterexample of *minimum
 length* -- the same guarantee the paper relies on from SMV ("SMV produces
 the shortest possible trace").
 
-Three engines share the same search semantics:
+Two engines share the same search semantics:
 
 * the **tuple engine** walks :meth:`successors` transitions directly and
   records labels as it goes (one shared BFS core also drives
@@ -17,30 +17,17 @@ Three engines share the same search semantics:
   tuples and decoding states only when a counterexample is rebuilt.  It is
   selected automatically for systems with a native packed path (the TTA
   startup model) and enumerates successors in the same order as the tuple
-  engine, so both return identical verdicts, counts, and traces;
-* the **vectorized engine** (see :mod:`repro.modelcheck.vector`) processes
-  whole BFS levels as NumPy arrays of packed codes, optionally under
-  symmetry reduction (:mod:`repro.modelcheck.symmetry`).  It visits the
-  same reachable set and returns the same verdict and a shortest
-  counterexample, but completes each level before testing the invariant
-  (so on violating configurations ``states_explored`` counts the full
-  violating level) and reports *raw* enumerated transitions (duplicate
-  successors of one parent are not collapsed).
+  engine, so both return identical verdicts, counts, and traces.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.modelcheck.encode import (
-    PackedSystemAdapter,
-    compile_packed_invariant,
-    have_numpy,
-)
+from repro.modelcheck.encode import PackedSystemAdapter, compile_packed_invariant
 from repro.modelcheck.model import TransitionSystem
 from repro.modelcheck.state import StateView
 from repro.modelcheck.trace import Trace, TraceStep
@@ -49,7 +36,7 @@ from repro.modelcheck.trace import Trace, TraceStep
 Invariant = Callable[[StateView], bool]
 
 #: Engine names accepted by :class:`InvariantChecker`.
-ENGINES = ("auto", "packed", "tuple", "vectorized")
+ENGINES = ("auto", "packed", "tuple")
 
 
 @dataclass
@@ -64,8 +51,7 @@ class CheckResult:
     counterexample: Optional[Trace] = None
     #: True when the search hit a limit before exhausting the state space.
     truncated: bool = False
-    #: Which search engine produced the result ("tuple", "packed", or
-    #: "vectorized").
+    #: Which search engine produced the result ("tuple" or "packed").
     engine: str = "tuple"
 
     @property
@@ -200,24 +186,7 @@ class InvariantChecker:
     * ``"packed"`` -- force packed search; systems without a native path
       are wrapped in :class:`~repro.modelcheck.encode.PackedSystemAdapter`
       (every variable must declare a domain);
-    * ``"tuple"`` -- force the classic tuple search;
-    * ``"vectorized"`` -- batched NumPy frontier search; needs numpy, a
-      system with a native batch path (``packed_successors_batch`` +
-      ``packed_geometry``) and node blocks that fit one uint64 word (up
-      to 4 slots of the TTA model), otherwise it *warns and falls back*
-      to the packed engine (the result's ``engine`` field records what
-      actually ran).
-
-    ``symmetry`` (vectorized engine only) enables rotational symmetry
-    reduction when it is provably sound for the model and invariant at
-    hand (see :class:`repro.modelcheck.symmetry.RotationGroup`); pass
-    ``False`` -- the CLI's ``--no-symmetry`` -- to force the full search.
-
-    ``jobs`` (vectorized engine only) shards each BFS level across a
-    worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
-    parallelism *within one check*, orthogonal to the task-level fan-out
-    of :mod:`repro.modelcheck.parallel`.  Verdicts, counts, and traces
-    are identical to the single-process search.
+    * ``"tuple"`` -- force the classic tuple search.
     """
 
     def __init__(self, system: TransitionSystem,
@@ -225,21 +194,15 @@ class InvariantChecker:
                  max_depth: Optional[int] = None,
                  progress: Optional[Callable[[int, int], None]] = None,
                  progress_interval: int = 50_000,
-                 engine: str = "auto",
-                 symmetry: bool = True,
-                 jobs: Optional[int] = None) -> None:
+                 engine: str = "auto") -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.system = system
         self.max_states = max_states
         self.max_depth = max_depth
         self.progress = progress
         self.progress_interval = progress_interval
         self.engine = engine
-        self.symmetry = symmetry
-        self.jobs = jobs
 
     # -- engine selection ---------------------------------------------------------
 
@@ -251,46 +214,14 @@ class InvariantChecker:
                       and hasattr(self.system, "codec"))
         if has_native:
             return self.system
-        if self.engine in ("packed", "vectorized"):
+        if self.engine == "packed":
             return PackedSystemAdapter(self.system)
         return None
-
-    def _vectorized_system(self) -> Optional[Any]:
-        """The system to vector-search, or None (with a warning) when the
-        vectorized engine cannot run and must fall back to packed."""
-        if not (hasattr(self.system, "packed_successors_batch")
-                and hasattr(self.system, "packed_geometry")):
-            warnings.warn(
-                "vectorized engine needs a native batch path "
-                "(packed_successors_batch); falling back to the packed "
-                "engine", RuntimeWarning, stacklevel=3)
-            return None
-        if not have_numpy():
-            warnings.warn(
-                "vectorized engine needs numpy; falling back to the "
-                "packed engine", RuntimeWarning, stacklevel=3)
-            return None
-        # The kernel keeps every node block in one uint64 word with a bit
-        # of headroom (see repro.modelcheck.vector).
-        block_radix, node_count, _ = self.system.packed_geometry()
-        word_bits = (block_radix ** node_count - 1).bit_length()
-        if word_bits > 63:
-            warnings.warn(
-                f"vectorized engine needs the {node_count} node blocks in "
-                f"one uint64 word, but they need {word_bits} bits; "
-                f"falling back to the packed engine",
-                RuntimeWarning, stacklevel=3)
-            return None
-        return self.system
 
     # -- public API ---------------------------------------------------------------
 
     def check(self, invariant: Invariant) -> CheckResult:
         """BFS over reachable states, checking ``invariant`` at each."""
-        if self.engine == "vectorized":
-            vectorized = self._vectorized_system()
-            if vectorized is not None:
-                return self._check_vectorized(vectorized, invariant)
         packed = self._packed_system()
         if packed is not None:
             return self._check_packed(packed, invariant)
@@ -418,10 +349,6 @@ class InvariantChecker:
             codes.append(cursor)
             cursor = parent[cursor]
         codes.reverse()
-        return self._trace_from_code_chain(packed, codes)
-
-    def _trace_from_code_chain(self, packed: Any, codes: List[int]) -> Trace:
-        """Decode a concrete code chain and recover transition labels."""
         codec = packed.codec
         base_system = getattr(packed, "system", packed)
         states = [codec.unpack(code) for code in codes]
@@ -437,168 +364,6 @@ class InvariantChecker:
                     break
             steps.append(TraceStep(state=states[position], label=label))
         return Trace(space=packed.space, steps=steps)
-
-    # -- vectorized engine --------------------------------------------------------
-
-    def _check_vectorized(self, system: Any, invariant: Invariant) -> CheckResult:
-        """Whole-level BFS over NumPy arrays of split packed codes.
-
-        Each level is expanded, deduplicated, committed, and *then*
-        tested against the invariant as one batch; the first violating
-        state in code order yields the counterexample (same minimum
-        length as the scalar engines, since both search level by level).
-        Under symmetry reduction the search runs in the quotient space
-        and the counterexample is mapped back to a concrete run.
-        """
-        from repro.modelcheck.symmetry import RotationGroup
-        from repro.modelcheck.vector import (
-            VectorExplorer,
-            compile_batch_invariant,
-        )
-
-        started = time.perf_counter()
-        codec = system.codec
-        _, _, tail_scale = system.packed_geometry()
-        violations = compile_batch_invariant(invariant, codec, tail_scale)
-        group = RotationGroup.build(system, invariant=invariant,
-                                    enabled=self.symmetry)
-        canonical = None if group.trivial else group.canonicalize
-        sharder = None
-        expander = None
-        if self.jobs is not None and self.jobs > 1:
-            from repro.modelcheck.shard import FrontierSharder
-
-            sharder = FrontierSharder(system, jobs=self.jobs,
-                                      use_symmetry=not group.trivial)
-            expander = sharder.successor_level
-        explorer = VectorExplorer(system, canonical=canonical,
-                                  expander=expander)
-        max_states = self.max_states
-        max_depth = self.max_depth
-        progress = self.progress
-        progress_interval = self.progress_interval
-
-        levels: List[Tuple[Any, Any]] = []
-        transitions = 0
-        states_added = 0
-        progress_fired = 0
-        truncated = False
-        violating: Optional[int] = None
-        max_depth_seen = 0
-
-        def make_result() -> CheckResult:
-            trace = None
-            if violating is not None:
-                trace = self._rebuild_vectorized_trace(
-                    system, explorer, group, levels, violating)
-            return CheckResult(holds=violating is None,
-                               states_explored=explorer.seen_count,
-                               transitions_explored=transitions,
-                               depth_reached=max_depth_seen,
-                               elapsed_seconds=time.perf_counter() - started,
-                               counterexample=trace,
-                               truncated=truncated,
-                               engine="vectorized")
-
-        def absorb_level(words: Any, tails: Any, depth: int) -> Optional[int]:
-            """Track one committed batch; the violating code, if any."""
-            nonlocal states_added, progress_fired, max_depth_seen
-            if len(words) == 0:
-                return None
-            levels.append((words, tails))
-            if depth > max_depth_seen:
-                max_depth_seen = depth
-            states_added += len(words)
-            # Batch-granular progress: fire once per interval boundary the
-            # batch crossed, reporting the boundary value so downstream
-            # consumers see the same monotonic sequence as the scalar
-            # engines (which fire exactly at each crossing).
-            while (progress is not None
-                   and states_added // progress_interval > progress_fired):
-                progress_fired += 1
-                progress(progress_fired * progress_interval, depth)
-            mask = violations(words, tails)
-            hits = explorer.np.flatnonzero(mask)
-            if len(hits):
-                first = int(hits[0])
-                return int(words[first]) + int(tails[first]) * tail_scale
-            return None
-
-        try:
-            words, tails, over = explorer.initial_level(limit=max_states)
-            truncated |= over
-            violating = absorb_level(words, tails, 0)
-            if violating is not None:
-                return make_result()
-
-            depth = 0
-            while len(words):
-                if max_depth is not None and depth >= max_depth:
-                    truncated = True
-                    break
-                remaining: Optional[int] = None
-                if max_states is not None:
-                    remaining = max_states - explorer.seen_count
-                    if remaining <= 0:
-                        truncated = True
-                        break
-                words, tails, raw, over = explorer.step(words, tails,
-                                                        limit=remaining)
-                transitions += raw
-                truncated |= over
-                violating = absorb_level(words, tails, depth + 1)
-                if violating is not None:
-                    return make_result()
-                depth += 1
-
-            return make_result()
-        finally:
-            if sharder is not None:
-                sharder.close()
-
-    def _rebuild_vectorized_trace(self, system: Any, explorer: Any,
-                                  group: Any, levels: List[Tuple[Any, Any]],
-                                  violating: int) -> Trace:
-        """Shortest concrete trace from the per-level state batches.
-
-        The vectorized search keeps no parent links; instead the (short)
-        counterexample chain is recovered backwards by re-expanding each
-        stored level with the batch kernel and selecting, per hop, the
-        smallest-code predecessor.  Under symmetry the chain lives in the
-        quotient space and is first mapped back to a concrete run (see
-        :func:`repro.modelcheck.symmetry.decanonicalize_trace`).
-        """
-        from repro.modelcheck.symmetry import decanonicalize_trace
-
-        np = explorer.np
-        kernel = explorer.kernel
-        tail_scale = kernel.tail_scale
-        chain = [violating]
-        target = violating
-        for level_words, level_tails in reversed(levels[:-1]):
-            succ_words, succ_tails, parents = kernel.successor_level(
-                level_words, level_tails)
-            if not group.trivial:
-                succ_words, succ_tails = group.canonicalize(succ_words,
-                                                            succ_tails)
-            target_tail, target_word = divmod(target, tail_scale)
-            match = np.flatnonzero(
-                (succ_tails == target_tail)
-                & (succ_words == np.uint64(target_word)))
-            if len(match) == 0:  # pragma: no cover - BFS guarantees a parent
-                raise AssertionError(
-                    "stored level has no predecessor of the counterexample")
-            candidates = parents[match]
-            candidate_words = level_words[candidates]
-            candidate_tails = level_tails[candidates]
-            best = np.lexsort((candidate_words, candidate_tails))[0]
-            target = (int(candidate_words[best])
-                      + int(candidate_tails[best]) * tail_scale)
-            chain.append(target)
-        chain.reverse()
-        if not group.trivial:
-            chain = decanonicalize_trace(system, group, chain)
-        return self._trace_from_code_chain(system, chain)
 
 
 @dataclass
@@ -643,12 +408,10 @@ class DeadlockSearchResult:
 def check_invariant(system: TransitionSystem, invariant: Invariant,
                     max_states: Optional[int] = None,
                     max_depth: Optional[int] = None,
-                    engine: str = "auto",
-                    symmetry: bool = True) -> CheckResult:
+                    engine: str = "auto") -> CheckResult:
     """One-shot convenience wrapper over :class:`InvariantChecker`."""
     checker = InvariantChecker(system, max_states=max_states,
-                               max_depth=max_depth, engine=engine,
-                               symmetry=symmetry)
+                               max_depth=max_depth, engine=engine)
     return checker.check(invariant)
 
 

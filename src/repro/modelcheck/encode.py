@@ -25,30 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.modelcheck.state import StateSpace, StateView
 
-try:  # numpy is a core dependency, but the packed engine works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-#: Guidance attached to every numpy-gated entry point.
-NUMPY_HINT = ("numpy is required for the vectorized frontier engine "
-              "(pip install numpy); the scalar packed engine "
-              "(--engine packed) works without it")
-
-
-def have_numpy() -> bool:
-    """Whether the vectorized (batched) code paths are available."""
-    return _np is not None
-
-
-def require_numpy():
-    """The numpy module, or a clear ImportError telling the user what the
-    vectorized paths need and which engine works without it."""
-    if _np is None:
-        raise ImportError(NUMPY_HINT)
-    return _np
-
-
 class StateCodec:
     """Bijection between state tuples of a :class:`StateSpace` and ints.
 
@@ -109,100 +85,6 @@ class StateCodec:
             code, digit = divmod(code, radix)
             values.append(domain[digit])
         return tuple(values)
-
-    # -- batched bijection (vectorized mixed-radix arithmetic) -------------------
-
-    @property
-    def fits_uint64(self) -> bool:
-        """Whether every code fits a numpy ``uint64`` (batched fast path).
-
-        The comparison is against ``2**63`` rather than ``2**64`` so that
-        sums of per-group contributions computed *inside* uint64 kernels
-        keep one bit of headroom.
-        """
-        return self.size <= (1 << 63)
-
-    def _code_dtype(self):
-        np = require_numpy()
-        return np.uint64 if self.fits_uint64 else object
-
-    def pack_batch(self, states: Sequence[Sequence[Any]]) -> Any:
-        """Encode many state tuples at once; returns a numpy code array.
-
-        The per-variable digit lookup is a table map; the mixed-radix
-        combination (``digit * multiplier`` accumulation) runs as whole-
-        column array arithmetic.  Codes come back as ``uint64`` when the
-        space fits (see :attr:`fits_uint64`), as Python ints in an object
-        array otherwise -- either way element ``i`` equals
-        ``self.pack(states[i])``.
-        """
-        np = require_numpy()
-        rows = [tuple(state) for state in states]
-        width = len(self._radices)
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(
-                    f"state has {len(row)} entries, expected {width}")
-        codes = np.zeros(len(rows), dtype=self._code_dtype())
-        for position, (table, multiplier) in enumerate(
-                zip(self._value_index, self._multipliers)):
-            try:
-                column = [table[row[position]] for row in rows]
-            except KeyError:
-                for row in rows:
-                    if row[position] not in table:
-                        self._raise_domain_error(row)
-                raise  # pragma: no cover - unreachable
-            if codes.dtype == object:
-                codes += np.asarray([index * multiplier for index in column],
-                                    dtype=object)
-            else:
-                codes += np.asarray(column, dtype=codes.dtype) * \
-                    codes.dtype.type(multiplier)
-        return codes
-
-    def unpack_digits(self, codes: "Any") -> "Any":
-        """Mixed-radix digit extraction over a whole code array.
-
-        Returns an ``(n, variables)`` ``int64`` array where column ``j``
-        holds the domain *index* of variable ``j`` in each code -- the
-        array-op counterpart of the ``divmod`` chain in :meth:`unpack`:
-        ``unpack(codes[i])[j] == domains[j][unpack_digits(codes)[i, j]]``.
-        """
-        np = require_numpy()
-        rest = np.asarray(codes, dtype=self._code_dtype()).copy()
-        if len(rest) and not bool((self._compare_codes(rest) >= 0).all()):
-            raise ValueError(f"code outside [0, {self.size})")
-        digits = np.empty((len(rest), len(self._radices)), dtype=np.int64)
-        if rest.dtype == object:
-            # Big-int fallback (state space wider than 63 bits): the ufunc
-            # has no object loop, so run the divmod chain row by row.
-            for index, code in enumerate(rest.tolist()):
-                for position, radix in enumerate(self._radices):
-                    code, digit = divmod(code, radix)
-                    digits[index, position] = digit
-            return digits
-        for position, radix in enumerate(self._radices):
-            rest, digit = np.divmod(rest, rest.dtype.type(radix))
-            digits[:, position] = digit.astype(np.int64)
-        return digits
-
-    def _compare_codes(self, codes: "Any") -> "Any":
-        """Elementwise ``0 <= code < size`` as a signed indicator array."""
-        np = require_numpy()
-        if codes.dtype == object:
-            return np.asarray([0 if 0 <= int(code) < self.size else -1
-                               for code in codes], dtype=np.int64)
-        inside = codes < codes.dtype.type(min(self.size, (1 << 63)))
-        return np.where(inside, 0, -1)
-
-    def unpack_batch(self, codes: "Any") -> List[tuple]:
-        """Decode a whole code array back into state tuples (boundary use
-        only -- counterexample chains, differential tests)."""
-        digits = self.unpack_digits(codes)
-        domains = self._domains
-        return [tuple(domain[digit] for domain, digit in zip(domains, row))
-                for row in digits.tolist()]
 
     # -- single-variable access (no full decode) ---------------------------------
 

@@ -67,25 +67,14 @@ class ExplicitTransitionSystem:
 
 
 def count_reachable(system: TransitionSystem,
-                    max_states: int = 1_000_000,
-                    engine: str = "tuple") -> int:
+                    max_states: int = 1_000_000) -> int:
     """Size of the reachable state space (diagnostics/benchmarks).
 
     Raises :class:`RuntimeError` as soon as a state *beyond* the limit
     would be enqueued (checked before insertion, like the checker's
-    bounded search -- the limit can never be silently overshot).  The
-    ``"vectorized"`` engine counts whole frontier batches at once but
-    keeps the limit check exact: a batch that *would* push the visited
-    set past ``max_states`` raises before being committed, even when
-    the overshoot happens mid-batch.
+    bounded search -- the limit can never be silently overshot).
     """
     from collections import deque
-
-    if engine == "vectorized":
-        return _count_reachable_vectorized(system, max_states)
-    if engine != "tuple":
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"pick one of ('tuple', 'vectorized')")
 
     seen = set()
     frontier = deque()
@@ -105,34 +94,3 @@ def count_reachable(system: TransitionSystem,
             if transition.target not in seen:
                 add(transition.target)
     return len(seen)
-
-
-def _count_reachable_vectorized(system: TransitionSystem,
-                                max_states: int) -> int:
-    """Batched reachable-set count with an exact limit check.
-
-    The explorer is asked to commit at most ``max_states`` states total
-    (the per-level ``limit``); an overshoot flag on any level means the
-    true count exceeds the limit and raises the same ``RuntimeError`` as
-    the tuple path -- no silent truncation, no overshoot.
-    """
-    from repro.modelcheck.vector import VectorExplorer
-
-    if not (hasattr(system, "packed_successors_batch")
-            and hasattr(system, "packed_geometry")):
-        raise ValueError(
-            "vectorized counting needs a system with a native batch path "
-            "(packed_successors_batch)")
-    explorer = VectorExplorer(system)
-
-    def guard(over: bool) -> None:
-        if over:
-            raise RuntimeError(f"more than {max_states} reachable states")
-
-    words, tails, over = explorer.initial_level(limit=max_states)
-    guard(over)
-    while len(words):
-        remaining = max_states - explorer.seen_count
-        words, tails, _, over = explorer.step(words, tails, limit=remaining)
-        guard(over)
-    return explorer.seen_count

@@ -128,7 +128,7 @@ class _PoolEnv:
                     return AbstractValue(frozenset({TAG_VIEW}))
             return BOTTOM
         # Calls resolving to a function annotated -> ProcessPoolExecutor
-        # (shard.FrontierSharder._ensure_pool) produce a pool.
+        # (e.g. a helper that lazily builds a worker pool) produce a pool.
         graph = self.context.callgraph
         target = graph.resolve_callable(self.unit, call.func, self.info)
         if target is not None:

@@ -264,9 +264,9 @@ _NUMPY_SORT_CALLS = ("sort", "argsort")
 class NumpyDeterminismRule(AstRule):
     """DET006: NumPy idioms whose results vary per run or per version.
 
-    The vectorized frontier engine promises the same verdicts, state
-    orders, and counterexamples as the scalar engines; three NumPy
-    habits silently break that:
+    Array code that must reproduce the same verdicts, state orders, and
+    counterexamples run after run is silently broken by three NumPy
+    habits:
 
     * ``np.random.*`` draws (and ``default_rng()`` without a seed) pull
       from process-global or OS entropy;

@@ -1,6 +1,6 @@
-"""WID -- packed-width rules over the uint64 split-code kernels.
+"""WID -- packed-width rules over uint64 split-code kernels.
 
-The vectorized engine (PR 4) packs whole cluster states into 63-bit
+A batched packed-state kernel keeps whole cluster states in 63-bit
 uint64 words: ``word = sum_i local_i * block_radix**i`` with an int64
 tail for the overflow digits.  Silent width bugs in that scheme have two
 shapes, both invisible to a per-file linter:
@@ -18,8 +18,7 @@ WID003   comparisons across the split-code dtypes (uint64 word vs int64
 
 Dtype tags propagate through the forward dataflow lattice; the guard
 test for WID001 uses CFG dominance ("does a ``> (1 << 63)`` check run
-on every path reaching the sink?"), mirroring the real guard at
-``PackedStepTable.__init__``.
+on every path reaching the sink?").
 """
 
 from __future__ import annotations
@@ -304,7 +303,7 @@ class PackedWidthGuardRule(AstRule):
                         "geometry growth arithmetic reaches a uint64 "
                         "construction with no dominating 2**63 guard; "
                         "past 63 bits the packed word silently wraps -- "
-                        "guard like PackedStepTable.__init__ does")
+                        "check the width against 1 << 63 first")
 
     @staticmethod
     def _is_uint64_sink(flow: _WidthEnv, env, call: ast.Call) -> bool:

@@ -4,12 +4,14 @@ shortest counterexamples (states *and* labels) -- on the paper's own
 configurations.  The packed path is an optimisation, never a semantics
 change."""
 
+import warnings
 from collections import Counter
 
 import pytest
 
 from repro.core.authority import CouplerAuthority, all_authorities
-from repro.core.verification import expected_verdicts, verify_authority
+from repro.core.verification import (expected_verdicts, verify_authority,
+                                     verify_config)
 from repro.model.coupler_model import (SILENT, ChannelContent,
                                        enumerate_fault_choices)
 from repro.model.properties import no_clique_freeze
@@ -82,10 +84,38 @@ def test_engine_override_via_verify_authority():
     assert len(packed_run.counterexample) == len(tuple_run.counterexample)
 
 
-def test_unknown_engine_rejected():
+def test_auto_engine_still_selects_packed():
+    """Auto picks the packed engine for the TTA model, with no warning."""
+    config = scenario_for_authority(CouplerAuthority.PASSIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = verify_config(config, engine="auto")
+    assert result.check.engine == "packed"
+
+
+@pytest.mark.parametrize("engine", ["auto", "packed"])
+def test_five_slots_runs_on_every_engine(engine):
+    """At 5 slots the packed code passes 64 bits; Python ints carry it,
+    so auto and packed run without a warning."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING, slots=5)
+    checker = InvariantChecker(TTAStartupModel(config), max_states=2_000,
+                               engine=engine)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = checker.check(no_clique_freeze(config))
+    messages = [str(warning.message) for warning in caught
+                if issubclass(warning.category, RuntimeWarning)]
+    assert messages == []
+    assert result.engine == "packed"
+    assert result.truncated
+    assert result.states_explored == 2_000
+
+
+@pytest.mark.parametrize("engine", ["quantum", "vectorized"])
+def test_unknown_engine_rejected(engine):
     config = scenario_for_authority(CouplerAuthority.PASSIVE)
     with pytest.raises(ValueError, match="engine"):
-        InvariantChecker(TTAStartupModel(config), engine="quantum")
+        InvariantChecker(TTAStartupModel(config), engine=engine)
 
 
 def test_packed_engine_via_adapter_on_explicit_system():

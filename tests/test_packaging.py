@@ -1,8 +1,11 @@
 """Package-level hygiene: every module imports, every export exists."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,28 @@ def test_cli_entry_point_importable():
     from repro.cli import main
 
     assert callable(main)
+
+
+#: What the ``repro`` CLI commands import on their way to work.
+WORKLOAD_MODULES = ("repro.cli", "repro.gen", "repro.faults.campaign",
+                    "repro.core.verification")
+
+
+@pytest.mark.parametrize("block_numpy", [False, True],
+                         ids=["numpy-importable", "numpy-blocked"])
+def test_workload_modules_never_import_numpy(block_numpy):
+    """The CLI and every workload it drives run on the standard library:
+    numpy is neither imported nor needed."""
+    script = "\n".join([
+        "import importlib, sys",
+        *(["sys.modules['numpy'] = None"] if block_numpy else []),
+        f"for name in {WORKLOAD_MODULES!r}:",
+        "    importlib.import_module(name)",
+        "assert sys.modules.get('numpy') is None, 'numpy was imported'",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
