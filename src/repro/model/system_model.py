@@ -26,23 +26,34 @@ Packed fast path
 :meth:`TTAStartupModel.packed_successors` never materialises state tuples.
 Because the codec is positional, each node's six variables occupy one
 contiguous digit block of the packed integer, and a successor state is the
-*sum* of per-node contributions plus a buffers/budget tail -- all small-int
-arithmetic over two memo tables:
+*sum* of per-node contributions plus a buffers/budget tail.  The node
+blocks are split into two contiguous groups (the first ``ceil(n / 2)``
+nodes, then the rest), and one expansion costs two ``divmod`` calls and
+five plain-int dictionary lookups over three memo levels:
 
 * ``(node, local-code, channels) -> shifted next-local codes`` caches the
-  Section 4.3 node relation (the dominant cost of the tuple path),
-* ``(nominal, buffers, budget) -> fault-choice contexts`` caches the
-  Section 4.4 coupler fault enumeration.
+  Section 4.3 node relation (the dominant cost of the tuple path); it is
+  only read when a row entry is built;
+* ``(senders, buffers, budget) -> fault contexts`` caches the Section 4.4
+  coupler fault enumeration, with each choice whose channel pair and
+  successor tail repeat an earlier one dropped, and names the resulting
+  channel-pair *sequence* by a small id;
+* ``group digits -> row``: a group's sender signature and, per channel-pair
+  sequence, one *entry*.  An entry sums the group's single-option node
+  contributions into one int with one lane per fault context, each lane
+  as wide as a whole state code, so the three lane sums
+  ``lo + hi + tail`` never carry across lanes and each lane *is* a
+  successor.  Nodes with several next locals stay in the entry as the
+  sums of their option product, expanded low group outer, high group
+  inner.
 
-Neither is keyed by global state (a breadth-first search expands each
-state once), so both stay small while the search grows.  Per fault
-context, nodes with a single next local fold into one scalar base and
-only the nodes with several options are expanded as a product.
+None of these tables is keyed by global state (a breadth-first search
+expands each state once), so they stay small while the search grows.
 
 The packed enumeration preserves the exact successor order of
-:meth:`successors`, so a breadth-first search over codes visits states in
-the same order as one over tuples and reconstructs identical shortest
-counterexamples.
+:meth:`successors` (fault choice order, then node order), so a
+breadth-first search over codes visits states in the same order as one
+over tuples and reconstructs identical shortest counterexamples.
 """
 
 from __future__ import annotations
@@ -173,16 +184,15 @@ class TTAStartupModel:
             oos_left = 0
         return locals_, buffers, oos_left
 
-    # -- pickling (parallel workers rebuild the memo tables locally) --------------
+    # -- pickling (parallel workers rebuild the packed tables locally) -----------
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_codec"] = None
-        state["_packed_ready"] = False
-        for key in list(state):
-            if key.startswith("_cache_"):
-                del state[key]
-        return state
+        """Only the config crosses a process boundary: the codec, the digit
+        geometry and every memo table are rebuilt lazily on the other side."""
+        return {"config": self.config}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["config"])
 
     # -- TransitionSystem interface -----------------------------------------------------
 
@@ -295,6 +305,18 @@ class TTAStartupModel:
         self._node_scale = tuple(block_radix ** index
                                  for index in range(node_count))
         self._tail_scale = block_radix ** node_count
+        #: The low group is the first ``ceil(node_count / 2)`` node blocks,
+        #: the high group the rest; the tail digits sit above both.
+        lo_count = node_count - node_count // 2
+        self._lo_radix = block_radix ** lo_count
+        self._hi_radix = block_radix ** (node_count - lo_count)
+        self._lo_nodes = range(lo_count)
+        self._hi_nodes = range(lo_count, node_count)
+        self._signature_bits = 2 * node_count
+        #: One lane of a row entry holds a whole successor code, so lane
+        #: sums never carry into the next lane.
+        self._lane_bits = (self.codec.size - 1).bit_length()
+        self._lane_mask = (1 << self._lane_bits) - 1
         #: Intra-block packing tables (identical layout for every node).
         self._local_index = tuple(
             {value: index for index, value in enumerate(variable.domain)}
@@ -303,13 +325,18 @@ class TTAStartupModel:
                                     for variable in block_vars)
         self._local_radices = tuple(len(variable.domain)
                                     for variable in block_vars)
-        # Memo tables, all keyed by plain ints so the hot loop hashes
-        # machine words only.  Named ``_cache_*`` so pickling drops them
-        # wholesale (workers rebuild them locally).
+        # Memo tables, none keyed by global state.  Named ``_cache_*`` so
+        # their sizes can be audited together.
         self._cache_local_of_code: Dict[int, NodeLocal] = {}
-        self._cache_sent: Dict[int, str] = {}
+        #: step key (local code, node, channel pair) -> shifted next locals.
         self._cache_step: Dict[int, Tuple[int, ...]] = {}
-        self._cache_fault_ctx: Dict[Tuple[tuple, int], List[tuple]] = {}
+        #: group digits -> (sender signature, {sequence id: row entry}).
+        self._cache_lo_row: Dict[int, Tuple[int, Dict[int, object]]] = {}
+        self._cache_hi_row: Dict[int, Tuple[int, Dict[int, object]]] = {}
+        #: tail digits and sender signature -> fault contexts.
+        self._cache_context: Dict[int, tuple] = {}
+        #: channel-pair sequence -> sequence id.
+        self._cache_sequence: Dict[Tuple[int, ...], int] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
         self._packed_ready = True
@@ -375,24 +402,54 @@ class TTAStartupModel:
             scale *= len(variable.domain)
         return code
 
-    def _build_fault_contexts(self, nominal_signature: Tuple[str, int],
-                              tail_code: int) -> List[tuple]:
+    def _group_locals(self, digits: int,
+                      nodes: range) -> List[Tuple[int, int]]:
+        """``(node_index, local_code)`` of each node of a group."""
+        found = []
+        for node_index in nodes:
+            digits, local_code = divmod(digits, self._block_radix)
+            found.append((node_index, local_code))
+        return found
+
+    def _build_row(self, rows: Dict[int, tuple], digits: int,
+                   nodes: range) -> tuple:
+        """A node group's sender signature and (empty) entry table.
+
+        The signature sets bit ``2 * node_index + (kind == c_state)`` per
+        sender, so the OR of the two groups' signatures tells every
+        nominal channel content apart.
+        """
+        signature = 0
+        for node_index, local_code in self._group_locals(digits, nodes):
+            kind = frame_sent(self._decode_local(local_code), node_index + 1)
+            if kind != "none":
+                signature |= 1 << (2 * node_index + (kind == KIND_C_STATE))
+        row = (signature, {})
+        rows[digits] = row
+        return row
+
+    def _build_contexts(self, key: int) -> tuple:
         """All fault choices for one step context, with precomputed pieces.
 
-        The context of a step is fully determined by the nominal channel
-        content and the tail digits (buffers + out-of-slot budget), so the
-        cache key is just ``(nominal, tail_code)``.  Each entry is
-        ``(channels, pair_key, tail_contribution)``: the two post-fault
-        channel contents (inputs to the node relation), their interned pair
-        id (memo key for the node-step table), and the packed contribution
-        of the successor's buffers + budget digits.
+        The context of a step is fully determined by the senders and the
+        tail digits (buffers + out-of-slot budget), packed into ``key`` as
+        ``tail << (2 * node_count) | sender signature``.  A fault choice whose
+        channel pair and successor tail repeat an earlier one is dropped:
+        it yields the same successors, which first-occurrence
+        deduplication would discard anyway.  The value is ``(channels,
+        tail_lanes, sequence_id, shifts)``: the post-fault channel pairs and
+        their interned ids, the successor tails packed one per lane, the
+        id of the channel-pair sequence (row entries depend on nothing
+        else), and the bit offset of each lane.
         """
-        nominal = ChannelContent(kind=nominal_signature[0],
-                                 frame_id=nominal_signature[1])
+        tail_code, signature = divmod(key, 1 << self._signature_bits)
+        nominal = nominal_content([
+            (bit // 2 + 1, KIND_C_STATE if bit % 2 else KIND_COLD_START)
+            for bit in range(self._signature_bits) if signature >> bit & 1])
         buffers, oos_left = self._decode_tail(tail_code)
-        contexts: List[tuple] = []
         config = self.config
         budget_for_choice = 1 if oos_left == UNLIMITED else oos_left
+        kept: Dict[Tuple[int, int], tuple] = {}
         for fault0, fault1 in enumerate_fault_choices(config, buffers,
                                                       budget_for_choice):
             channel0 = apply_fault(fault0, nominal, buffers[0])
@@ -404,13 +461,61 @@ class TTAStartupModel:
                 new_oos = UNLIMITED
             else:
                 new_oos = oos_left - (1 if used_out_of_slot else 0)
-            tail_contribution = self._tail_code_of(new_buffers, new_oos) * \
-                self._tail_scale
-            contexts.append(((channel0, channel1),
-                             self._intern_pair(channel0, channel1),
-                             tail_contribution))
-        self._cache_fault_ctx[(nominal_signature, tail_code)] = contexts
+            pair_key = self._intern_pair(channel0, channel1)
+            tail = self._tail_code_of(new_buffers, new_oos) * self._tail_scale
+            kept.setdefault((pair_key, tail), (channel0, channel1))
+        lane_bits = self._lane_bits
+        shifts = tuple(range(0, lane_bits * len(kept), lane_bits))
+        tail_lanes = sum(tail << shift
+                         for (_, tail), shift in zip(kept, shifts))
+        sequence = tuple(pair_key for pair_key, _ in kept)
+        sequence_id = self._cache_sequence.setdefault(
+            sequence, len(self._cache_sequence))
+        channels = tuple(zip(sequence, kept.values()))
+        contexts = (channels, tail_lanes, sequence_id, shifts)
+        self._cache_context[key] = contexts
         return contexts
+
+    def _build_entry(self, entries: Dict[int, object], digits: int,
+                     nodes: range, contexts: tuple) -> object:
+        """A node group's contribution under one channel-pair sequence.
+
+        Single-option nodes are summed into one int, one lane per fault
+        context.  If some node has several next locals, the entry is
+        ``(lanes, multi)`` instead: ``multi[lane]`` is None when every node
+        has one option in that lane, else the sums of the product of the
+        multi-option nodes' options in node order (the node's own cached
+        step tuple when it is the only one).
+        """
+        channels, _, sequence_id, shifts = contexts
+        node_keys = [(local_code * self._node_count + node_index)
+                     << self._PAIR_KEY_BITS
+                     for node_index, local_code
+                     in self._group_locals(digits, nodes)]
+        step_cache = self._cache_step
+        lanes = 0
+        multi: List[Optional[Tuple[int, ...]]] = []
+        for (pair_key, pair), shift in zip(channels, shifts):
+            sums = None
+            for node_key in node_keys:
+                step_key = node_key | pair_key
+                options = step_cache.get(step_key)
+                if options is None:
+                    options = self._build_node_options(step_key, pair)
+                if len(options) == 1:
+                    lanes += options[0] << shift
+                elif sums is None:
+                    sums = options
+                else:
+                    sums = tuple(total + option
+                                 for total in sums for option in options)
+            multi.append(sums)
+        if multi.count(None) == len(multi):
+            entry: object = lanes
+        else:
+            entry = (lanes, tuple(multi))
+        entries[sequence_id] = entry
+        return entry
 
     def _build_node_options(self, step_key: int,
                             channels: Tuple[ChannelContent, ChannelContent]
@@ -434,67 +539,72 @@ class TTAStartupModel:
     def packed_successors(self, code: int) -> Tuple[int, ...]:
         """Packed successor codes, in :meth:`successors` enumeration order.
 
-        Pure integer composition: per fault choice, the successor set is the
-        cartesian product of each node's cached next-local contributions,
-        realised as sums -- no tuples, no Transition objects, no labels.
-        Single-option nodes add into one base; only the others are expanded,
-        in node order, so the product order is that of :meth:`successors`.
+        Pure integer composition from two row entries and one context: the
+        lanes of ``lo + hi + tail`` are the successors of the fault contexts
+        whose nodes all have a single next local; multi-option nodes are
+        expanded as a product, low group outer and high group inner (node
+        order), so the order is that of :meth:`successors`.
         """
         if not self._packed_ready:
             self._build_packed_tables()
-        block_radix = self._block_radix
-        node_count = self._node_count
-        pair_bits = self._PAIR_KEY_BITS
-        sent_cache = self._cache_sent
-        rest = code
-        # Per node, its step-memo key without the channel-pair bits.
-        node_keys = []
-        senders = []
-        for node_index in range(node_count):
-            rest, local_code = divmod(rest, block_radix)
-            node_key = local_code * node_count + node_index
-            node_keys.append(node_key << pair_bits)
-            kind = sent_cache.get(node_key)
-            if kind is None:
-                kind = frame_sent(self._decode_local(local_code),
-                                  node_index + 1)
-                sent_cache[node_key] = kind
-            if kind != "none":
-                senders.append((node_index + 1, kind))
-        # rest now holds the tail digits (buffers + out-of-slot budget).
-        if not senders:
-            nominal_signature = (KIND_NONE, 0)
-        elif len(senders) > 1:
-            nominal_signature = (KIND_BAD_FRAME, 0)
+        hi_digits, lo_digits = divmod(code, self._lo_radix)
+        tail, hi_digits = divmod(hi_digits, self._hi_radix)
+        # Misses are rare after the first levels, so the lookups are plain
+        # subscripts and the builders run in the KeyError handlers.
+        try:
+            lo_signature, lo_entries = self._cache_lo_row[lo_digits]
+        except KeyError:
+            lo_signature, lo_entries = self._build_row(
+                self._cache_lo_row, lo_digits, self._lo_nodes)
+        try:
+            hi_signature, hi_entries = self._cache_hi_row[hi_digits]
+        except KeyError:
+            hi_signature, hi_entries = self._build_row(
+                self._cache_hi_row, hi_digits, self._hi_nodes)
+        key = tail << self._signature_bits | lo_signature | hi_signature
+        try:
+            contexts = self._cache_context[key]
+        except KeyError:
+            contexts = self._build_contexts(key)
+        _, tail_lanes, sequence_id, shifts = contexts
+        try:
+            lo_entry = lo_entries[sequence_id]
+        except KeyError:
+            lo_entry = self._build_entry(lo_entries, lo_digits,
+                                         self._lo_nodes, contexts)
+        try:
+            hi_entry = hi_entries[sequence_id]
+        except KeyError:
+            hi_entry = self._build_entry(hi_entries, hi_digits,
+                                         self._hi_nodes, contexts)
+        mask = self._lane_mask
+        if lo_entry.__class__ is int and hi_entry.__class__ is int:
+            total = lo_entry + hi_entry + tail_lanes
+            return tuple(dict.fromkeys([(total >> shift) & mask
+                                        for shift in shifts]))
+        none_multi = (None,) * len(shifts)
+        if lo_entry.__class__ is int:
+            lo_multi = none_multi
         else:
-            node_id, kind = senders[0]
-            nominal_signature = (kind, node_id)
-
-        contexts = self._cache_fault_ctx.get((nominal_signature, rest))
-        if contexts is None:
-            contexts = self._build_fault_contexts(nominal_signature, rest)
-
-        step_cache = self._cache_step
+            lo_entry, lo_multi = lo_entry
+        if hi_entry.__class__ is int:
+            hi_multi = none_multi
+        else:
+            hi_entry, hi_multi = hi_entry
+        total = lo_entry + hi_entry + tail_lanes
         found: List[int] = []
-        for channels, pair_key, base in contexts:
-            # Sums over the multi-option nodes so far, in product order.
-            totals = None
-            for node_key in node_keys:
-                step_key = node_key | pair_key
-                options = step_cache.get(step_key)
-                if options is None:
-                    options = self._build_node_options(step_key, channels)
-                if len(options) == 1:
-                    base += options[0]
-                elif totals is None:
-                    totals = options
+        for shift, lo_sums, hi_sums in zip(shifts, lo_multi, hi_multi):
+            base = (total >> shift) & mask
+            if lo_sums is None:
+                if hi_sums is None:
+                    found.append(base)
                 else:
-                    totals = [total + option
-                              for total in totals for option in options]
-            if totals is None:
-                found.append(base)
+                    found.extend([base + high for high in hi_sums])
+            elif hi_sums is None:
+                found.extend([base + low for low in lo_sums])
             else:
-                found.extend([base + total for total in totals])
+                found.extend([base + low + high
+                              for low in lo_sums for high in hi_sums])
         # First-occurrence dedup across fault contexts.
         return tuple(dict.fromkeys(found))
 

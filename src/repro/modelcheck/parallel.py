@@ -15,7 +15,10 @@ draws from its own seeded substream), and sweep grid points share nothing.
   outcomes do not depend on scheduling;
 * the pool degrades gracefully -- ``max_workers=1``, a single-core host,
   unpicklable work, or a broken/unavailable pool all fall back to running
-  the identical tasks serially in-process.
+  the identical tasks serially in-process.  A fallback caused by an
+  infrastructure failure is logged as a ``WARNING`` on this module's
+  logger with its reason; a planned serial run (one worker, one task) is
+  not.
 
 Worker functions live at module top level (picklable by reference) and
 rebuild models from their configs inside the worker; nothing with caches
@@ -24,6 +27,7 @@ or closures crosses the process boundary.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import traceback
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 from functools import partial
 from pickle import PicklingError
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+logger = logging.getLogger(__name__)
 
 #: Exception types that indicate the *pool* (not the task) failed: the
 #: work could not be pickled, worker processes could not be spawned, or
@@ -161,6 +167,9 @@ class ParallelVerifier:
                                           task_list))
         except _POOL_FAILURES as failure:
             self.fallback_reason = f"{type(failure).__name__}: {failure}"
+            logger.warning("process pool unavailable, running %d tasks "
+                           "serially: %s", len(task_list),
+                           self.fallback_reason)
             return [function(task) for task in task_list]
         self.pool_engaged = True
         return [unwrap_envelope(envelope) for envelope in envelopes]

@@ -1,9 +1,11 @@
 """Tests for the synchronous composition."""
 
+import dataclasses
+import pickle
 
 from repro.core.authority import CouplerAuthority
 from repro.model.config import ModelConfig
-from repro.model.node_model import ST_FREEZE, ST_LISTEN
+from repro.model.node_model import ST_FREEZE, ST_LISTEN, frame_sent
 from repro.model.properties import no_clique_freeze
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import UNLIMITED, TTAStartupModel
@@ -123,3 +125,64 @@ def test_memo_tables_stay_far_below_the_state_count():
     entries = sum(len(table) for name, table in vars(model).items()
                   if name.startswith("_cache_"))
     assert 0 < entries * 10 < result.states_explored
+
+
+def test_pickled_model_carries_no_memo_state_and_rechecks_identically():
+    """Only the config crosses a pickle: no ``_cache_*`` table, row,
+    context or lane geometry survives, and a re-check of the unpickled
+    model gives the same result as the first check."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
+    model = TTAStartupModel(config)
+    first = InvariantChecker(model).check(no_clique_freeze(config))
+    assert any(name.startswith("_cache_") for name in vars(model))
+    clone = pickle.loads(pickle.dumps(model))
+    assert set(vars(clone)) == set(vars(TTAStartupModel(config)))
+    assert not any(name.startswith("_cache_") for name in vars(clone))
+    assert "_lane_bits" not in vars(clone)
+    assert clone.config == config
+    second = InvariantChecker(clone).check(no_clique_freeze(config))
+
+    def comparable(result):
+        steps = [(step.state, step.label)
+                 for step in result.counterexample.steps]
+        return dataclasses.replace(result, elapsed_seconds=0.0,
+                                   counterexample=None), steps
+
+    assert comparable(second) == comparable(first)
+
+
+def test_fault_contexts_drop_twin_choices_on_a_silent_channel():
+    """On a silent nominal channel, coupler 0's ``silence`` fault repeats
+    the fault-free channel pair and successor tail.  The cached context
+    lists keep no such twin, and the successors of reached silent states
+    still equal the tuple path's, first occurrences in order."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
+    model = TTAStartupModel(config)
+    codec = model.codec
+    order = [codec.pack(state) for state in model.initial_states()]
+    model.packed_successors(order[0])
+    # The all-frozen start: fault-free, silence and bad_frame on coupler
+    # 0 (the empty buffer rules out a replay); silence is the dropped twin.
+    ((channels, _, _, _),) = model._cache_context.values()
+    assert len(channels) == 2
+    for code in order:
+        if len(order) >= 3_000:
+            break
+        order.extend(target for target in model.packed_successors(code)
+                     if target not in order)
+    silent = [codec.unpack(code) for code in order
+              if all(frame_sent(model.node_view(codec.unpack(code), node_id),
+                                node_id) == "none"
+                     for node_id in config.node_ids)]
+    assert len(silent) > 100
+    for state in silent:
+        expected = list(dict.fromkeys(
+            codec.pack(transition.target)
+            for transition in model.successors(state)))
+        assert list(model.packed_successors(codec.pack(state))) == expected
+    mask = (1 << model._lane_bits) - 1
+    for channels, tail_lanes, _, shifts in model._cache_context.values():
+        tails = [(tail_lanes >> shift) & mask for shift in shifts]
+        twins = [(pair_key, tail)
+                 for (pair_key, _), tail in zip(channels, tails)]
+        assert len(set(twins)) == len(twins)

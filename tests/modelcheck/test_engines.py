@@ -12,11 +12,15 @@ import pytest
 from repro.core.authority import CouplerAuthority, all_authorities
 from repro.core.verification import (expected_verdicts, verify_authority,
                                      verify_config)
+from repro.model.config import ModelConfig
 from repro.model.coupler_model import (SILENT, ChannelContent,
                                        enumerate_fault_choices)
+from repro.model.node_model import node_step
 from repro.model.properties import no_clique_freeze
-from repro.model.scenarios import (scenario_for_authority, trace1_scenario,
-                                   trace2_scenario)
+from repro.model.scenarios import (running_cluster_scenario,
+                                   scenario_for_authority, trace1_scenario,
+                                   trace2_scenario,
+                                   unconstrained_full_shifting)
 from repro.model.system_model import UNLIMITED, TTAStartupModel
 from repro.modelcheck.checker import InvariantChecker, check_invariant
 from repro.modelcheck.model import ExplicitTransitionSystem
@@ -203,3 +207,50 @@ def test_packed_successor_order_matches_tuple_order_on_reached_states():
     # where some node has two next locals, and four fault contexts.
     assert multi_option_states > 0
     assert 4 in fault_counts
+
+
+#: Model variants beyond the verification matrix: other node-group splits
+#: (1+1 at two slots, 2+1 at three), an unlimited out-of-slot budget,
+#: faults on the other or on either coupler, the paper's full host
+#: choices (nodes with three and four next locals), a running cluster,
+#: and no big-bang rule with cold-start replay prohibited.
+VARIANTS = {
+    "slots2": scenario_for_authority(CouplerAuthority.FULL_SHIFTING, slots=2),
+    "slots3": scenario_for_authority(CouplerAuthority.FULL_SHIFTING, slots=3),
+    "unlimited_out_of_slot": unconstrained_full_shifting(),
+    "faulty_coupler_1": scenario_for_authority(
+        CouplerAuthority.FULL_SHIFTING, faulty_coupler=1),
+    "either_coupler_faulty": scenario_for_authority(
+        CouplerAuthority.FULL_SHIFTING, faulty_coupler=None),
+    "full_host_choices": ModelConfig(full_host_choices=True),
+    "running_cluster": running_cluster_scenario(
+        CouplerAuthority.FULL_SHIFTING),
+    "no_big_bang_no_replay": ModelConfig(big_bang_enabled=False,
+                                         allow_cold_start_replay=False),
+    "passive_full_host_choices": ModelConfig(
+        authority=CouplerAuthority.PASSIVE, full_host_choices=True),
+}
+
+
+@pytest.mark.parametrize("config", list(VARIANTS.values()),
+                         ids=list(VARIANTS))
+def test_packed_successors_match_tuple_successors_on_model_variants(config):
+    """``packed_successors`` equals first-occurrence-deduplicated
+    ``successors`` on reached states of each variant, sampled over the
+    BFS order (at most 5,000 expansions per variant)."""
+    system = TTAStartupModel(config)
+    codec = system.codec
+    option_counts = set()
+    for code in bfs_sample(system, 50_000, 5_000):
+        state = codec.unpack(code)
+        expected = list(dict.fromkeys(
+            codec.pack(transition.target)
+            for transition in system.successors(state)))
+        assert list(system.packed_successors(code)) == expected
+        option_counts.update(
+            len(node_step(config, node_id, system.node_view(state, node_id),
+                          (SILENT, SILENT)))
+            for node_id in config.node_ids)
+    assert max(option_counts) >= 2
+    if config.full_host_choices:
+        assert {3, 4} <= option_counts

@@ -6,6 +6,7 @@ even on single-core CI hosts, and forced off (``max_workers=1``,
 simulated pool failures) to cover the serial fallbacks.
 """
 
+import logging
 from functools import partial
 
 import pytest
@@ -91,6 +92,44 @@ def test_broken_pool_falls_back_to_serial(monkeypatch):
     assert verifier.map(_square, [1, 2, 3]) == [1, 4, 9]
     assert not verifier.pool_engaged
     assert "OSError" in verifier.fallback_reason
+
+
+def _pool_records(caplog):
+    return [record for record in caplog.records
+            if record.name == parallel_module.__name__]
+
+
+def test_unpicklable_work_fallback_is_logged(caplog):
+    verifier = ParallelVerifier(max_workers=2, force_pool=True)
+    with caplog.at_level(logging.WARNING, logger=parallel_module.__name__):
+        assert verifier.map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
+    (record,) = _pool_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert verifier.fallback_reason in record.getMessage()
+
+
+def test_broken_pool_fallback_is_logged(monkeypatch, caplog):
+    class ExplodingPool:
+        def __init__(self, max_workers):
+            raise OSError("no processes on this host")
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", ExplodingPool)
+    verifier = ParallelVerifier(max_workers=2, force_pool=True)
+    with caplog.at_level(logging.WARNING, logger=parallel_module.__name__):
+        assert verifier.map(_square, [1, 2, 3]) == [1, 4, 9]
+    (record,) = _pool_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert "OSError: no processes on this host" in record.getMessage()
+
+
+@pytest.mark.parametrize("workers, tasks", [(1, [1, 2, 3]), (2, [1])],
+                         ids=["single-worker", "single-task"])
+def test_planned_serial_run_is_not_logged(workers, tasks, caplog):
+    verifier = ParallelVerifier(max_workers=workers, force_pool=True)
+    with caplog.at_level(logging.DEBUG, logger=parallel_module.__name__):
+        assert verifier.map(_square, tasks) == [_square(v) for v in tasks]
+    assert verifier.fallback_reason in ("single worker", "single task")
+    assert _pool_records(caplog) == []
 
 
 # ---------------------------------------------------------------------------
