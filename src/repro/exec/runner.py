@@ -11,7 +11,8 @@ wraps every task in a structured :class:`TaskResult` envelope and adds:
   a worker crash (``BrokenProcessPool``), and a submission-time failure
   (unpicklable work, spawn errors) are four different things and are
   handled differently: the first three are retryable per task, the last
-  falls back to in-process serial execution of the remaining tasks;
+  falls back to in-process serial execution of the remaining tasks and
+  logs a ``WARNING`` with the reason on this module's logger;
 * **bounded deterministic retries** -- each failing task is re-run up to
   ``retries`` times with exponential backoff (``backoff_base * 2**(n-1)``
   seconds, capped at ``backoff_cap``; no jitter, so schedules are
@@ -37,6 +38,7 @@ failure changes *when* a result arrives, never *what* it is.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -53,6 +55,8 @@ try:
     from concurrent.futures.process import BrokenProcessPool
 except ImportError:  # pragma: no cover - always present on CPython >= 3.3
     BrokenProcessPool = None  # type: ignore[assignment,misc]
+
+logger = logging.getLogger(__name__)
 
 #: ``TaskResult.status`` values.
 TASK_OK = "ok"
@@ -273,6 +277,10 @@ class TaskRunner:
             restored_count=restored_count,
             pool_rebuilds_used=rebuilds_used)
 
+    def _log_fallback(self, task_count: int) -> None:
+        logger.warning("process pool unavailable, running %d tasks "
+                       "serially: %s", task_count, self.fallback_reason)
+
     # -- event plumbing -------------------------------------------------------
 
     def _emit(self, event: Any) -> None:
@@ -374,6 +382,7 @@ class TaskRunner:
                     max_workers=min(self.effective_workers, len(pending)))
             except OSError as failure:
                 self.fallback_reason = f"{type(failure).__name__}: {failure}"
+                self._log_fallback(len(pending))
                 self._run_serial(function, task_list, pending, results,
                                  attempts, failures, store, epoch)
                 return rebuilds
@@ -383,6 +392,7 @@ class TaskRunner:
             if submission_failed:
                 remaining = [index for index in range(len(task_list))
                              if index not in results]
+                self._log_fallback(len(remaining))
                 self._run_serial(function, task_list, remaining, results,
                                  attempts, failures, store, epoch)
                 return rebuilds

@@ -23,29 +23,42 @@ encoding of :mod:`repro.modelcheck.encode`.
 Packed fast path
 ----------------
 
-:meth:`TTAStartupModel.packed_successors` never materialises state tuples.
-Because the codec is positional, each node's six variables occupy one
-contiguous digit block of the packed integer, and a successor state is the
-*sum* of per-node contributions plus a buffers/budget tail.  The node
-blocks are split into two contiguous groups (the first ``ceil(n / 2)``
-nodes, then the rest), and one expansion costs two ``divmod`` calls and
-five plain-int dictionary lookups over three memo levels:
+:meth:`TTAStartupModel.packed_flagged_successors` never materialises
+state tuples.  Because the codec is positional, each node's six variables
+occupy one contiguous digit block of the packed integer, and a successor
+state is the *sum* of per-node contributions plus a buffers/budget tail.
+The node blocks are split into two contiguous groups (the first
+``ceil(n / 2)`` nodes, then the rest), and one expansion costs two
+``divmod`` calls and six plain-int dictionary lookups over four memo
+levels:
 
 * ``(node, local-code, channels) -> shifted next-local codes`` caches the
-  Section 4.3 node relation (the dominant cost of the tuple path); it is
-  only read when a row entry is built;
+  Section 4.3 node relation (the dominant cost of the tuple path) with
+  the state flags of those next locals; it is only read when a row entry
+  is built;
 * ``(senders, buffers, budget) -> fault contexts`` caches the Section 4.4
   coupler fault enumeration, with each choice whose channel pair and
-  successor tail repeat an earlier one dropped, and names the resulting
-  channel-pair *sequence* by a small id;
+  successor tail repeat an earlier one dropped: one *lane* per remaining
+  choice, each with its successor tail.  It names the channel-pair
+  *sequence* by a small id;
 * ``group digits -> row``: a group's sender signature and, per channel-pair
-  sequence, one *entry*.  An entry sums the group's single-option node
-  contributions into one int with one lane per fault context, each lane
-  as wide as a whole state code, so the three lane sums
-  ``lo + hi + tail`` never carry across lanes and each lane *is* a
-  successor.  Nodes with several next locals stay in the entry as the
-  sums of their option product, expanded low group outer, high group
-  inner.
+  sequence, one *entry*: per lane, the sums of the product of the group's
+  node options (a single sum when every node has one next local), and the
+  OR of the options' state flags;
+* ``(low, high, tail) lane partitions -> kept lanes``: each entry and
+  each context records the partition of its lanes by equality as a small
+  id.  A lane whose tail, low sums and high sums all equal an earlier
+  lane's repeats its successors, so only the first lane of each class is
+  composed, as ``tail + low + high`` over its sums, low group outer and
+  high group inner.  Tail, low and high digits are disjoint, so kept lanes
+  can still share a successor only when their tails are equal and, per
+  group, their sums are equal or one side holds several; only then does
+  first-occurrence deduplication run.
+
+The flags mark, per node, every protocol state an option enters
+(:meth:`TTAStartupModel.assignment_flag`), so the checker evaluates an
+invariant that forbids node states only after the few expansions whose
+flags meet it.
 
 None of these tables is keyed by global state (a breadth-first search
 expands each state once), so they stay small while the search grows.
@@ -292,6 +305,10 @@ class TTAStartupModel:
     #: fewer than 2**12.
     _PAIR_KEY_BITS = 12
 
+    #: Bits per interned lane-partition id inside kept-lanes memo keys; a
+    #: handful of fault contexts admits far fewer partitions than 2**16.
+    _PARTITION_KEY_BITS = 16
+
     def _build_packed_tables(self) -> None:
         """Precompute the digit geometry and memo tables (lazy, idempotent)."""
         node_count = len(self._node_ids)
@@ -313,10 +330,10 @@ class TTAStartupModel:
         self._lo_nodes = range(lo_count)
         self._hi_nodes = range(lo_count, node_count)
         self._signature_bits = 2 * node_count
-        #: One lane of a row entry holds a whole successor code, so lane
-        #: sums never carry into the next lane.
-        self._lane_bits = (self.codec.size - 1).bit_length()
-        self._lane_mask = (1 << self._lane_bits) - 1
+        #: ``*_state`` variable name -> node index (invariant flags).
+        self._state_variable_node = {
+            f"{name.lower()}_state": index
+            for index, name in enumerate(self.config.node_names)}
         #: Intra-block packing tables (identical layout for every node).
         self._local_index = tuple(
             {value: index for index, value in enumerate(variable.domain)}
@@ -328,17 +345,22 @@ class TTAStartupModel:
         # Memo tables, none keyed by global state.  Named ``_cache_*`` so
         # their sizes can be audited together.
         self._cache_local_of_code: Dict[int, NodeLocal] = {}
-        #: step key (local code, node, channel pair) -> shifted next locals.
-        self._cache_step: Dict[int, Tuple[int, ...]] = {}
+        #: step key (local code, node, channel pair) ->
+        #: (shifted next locals, their state flags).
+        self._cache_step: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         #: group digits -> (sender signature, {sequence id: row entry}).
-        self._cache_lo_row: Dict[int, Tuple[int, Dict[int, object]]] = {}
-        self._cache_hi_row: Dict[int, Tuple[int, Dict[int, object]]] = {}
+        self._cache_lo_row: Dict[int, Tuple[int, Dict[int, tuple]]] = {}
+        self._cache_hi_row: Dict[int, Tuple[int, Dict[int, tuple]]] = {}
         #: tail digits and sender signature -> fault contexts.
         self._cache_context: Dict[int, tuple] = {}
         #: channel-pair sequence -> sequence id.
         self._cache_sequence: Dict[Tuple[int, ...], int] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
+        #: (lane labels, lane multi-option marks) -> partition id.
+        self._cache_partition: Dict[tuple, int] = {}
+        #: (lo, hi, tail) partition ids -> (kept lanes, dedup needed).
+        self._cache_kept: Dict[int, Tuple[Tuple[int, ...], bool]] = {}
         self._packed_ready = True
 
     def _encode_local(self, local: NodeLocal) -> int:
@@ -362,6 +384,27 @@ class TTAStartupModel:
             self._cache_local_of_code[code] = local
         return local
 
+    def _state_flag(self, node_index: int, state: str) -> int:
+        """Flag bit of node ``node_index`` entering protocol state ``state``."""
+        return 1 << (node_index * len(NODE_STATE_DOMAIN)
+                     + self._local_index[0][state])
+
+    def assignment_flag(self, name: str, value: object) -> Optional[int]:
+        """The successor flag raised by an expansion in which some successor
+        may carry ``name == value``, or None when that assignment has no
+        flag (only node ``*_state`` variables have flags).
+
+        :func:`repro.modelcheck.encode.invariant_flags` ORs these over an
+        invariant's ``forbidden_assignments``; the checker then evaluates
+        the invariant only on the successors of flagged expansions.
+        """
+        if not self._packed_ready:
+            self._build_packed_tables()
+        node_index = self._state_variable_node.get(name)
+        if node_index is None or value not in self._local_index[0]:
+            return None
+        return self._state_flag(node_index, value)
+
     def _intern_pair(self, channel0: ChannelContent,
                      channel1: ChannelContent) -> int:
         key = (channel0.kind, channel0.frame_id,
@@ -373,6 +416,56 @@ class TTAStartupModel:
                 raise AssertionError("channel-pair intern table overflow")
             self._cache_pair_key[key] = interned
         return interned
+
+    def _partition_id(self, lanes: tuple, multi: Tuple[bool, ...]) -> int:
+        """Interned id of the partition of ``lanes`` by equality.
+
+        Lane ``i`` is labelled with the first lane equal to it; ``multi``
+        marks the lanes that hold several options.
+        """
+        first: Dict[object, int] = {}
+        labels = tuple(first.setdefault(lane, index)
+                       for index, lane in enumerate(lanes))
+        key = (labels, multi)
+        interned = self._cache_partition.get(key)
+        if interned is None:
+            interned = len(self._cache_partition)
+            if interned >= 1 << self._PARTITION_KEY_BITS:  # pragma: no cover
+                raise AssertionError("lane-partition intern table overflow")
+            self._cache_partition[key] = interned
+        return interned
+
+    def _build_kept(self, key: int) -> Tuple[Tuple[int, ...], bool]:
+        """The lanes one expansion composes, from its three lane partitions.
+
+        ``key`` packs the low entry's, the high entry's and the context's
+        partition ids.  A lane whose tail, low options and high options all
+        equal an earlier lane's repeats that lane's successors in the same
+        order, so it is dropped.  The tail, low and high digits of a code
+        are disjoint, so two kept lanes can only share a successor when
+        their tails are equal and, in each group, their options are equal
+        or one of them holds several; only then is first-occurrence
+        deduplication still needed.
+        """
+        bits = self._PARTITION_KEY_BITS
+        mask = (1 << bits) - 1
+        partitions = list(self._cache_partition)
+        lo_labels, lo_multi = partitions[key >> 2 * bits]
+        hi_labels, hi_multi = partitions[key >> bits & mask]
+        tail_labels, _ = partitions[key & mask]
+        triples = list(zip(tail_labels, lo_labels, hi_labels))
+        kept = tuple(lane for lane, triple in enumerate(triples)
+                     if triples.index(triple) == lane)
+
+        def may_share(labels: tuple, multi: tuple, a: int, b: int) -> bool:
+            return labels[a] == labels[b] or multi[a] or multi[b]
+
+        dedup = any(tail_labels[a] == tail_labels[b]
+                    and may_share(lo_labels, lo_multi, a, b)
+                    and may_share(hi_labels, hi_multi, a, b)
+                    for a, b in itertools.combinations(kept, 2))
+        self._cache_kept[key] = (kept, dedup)
+        return kept, dedup
 
     def _decode_tail(self, tail_code: int) -> Tuple[List[ChannelContent], int]:
         """Decode the buffers + out-of-slot budget digits."""
@@ -437,10 +530,10 @@ class TTAStartupModel:
         channel pair and successor tail repeat an earlier one is dropped:
         it yields the same successors, which first-occurrence
         deduplication would discard anyway.  The value is ``(channels,
-        tail_lanes, sequence_id, shifts)``: the post-fault channel pairs and
-        their interned ids, the successor tails packed one per lane, the
-        id of the channel-pair sequence (row entries depend on nothing
-        else), and the bit offset of each lane.
+        tails, sequence_id, partition_id)``: the post-fault channel pairs
+        and their interned ids, the successor tail of each lane, the id of
+        the channel-pair sequence (row entries depend on nothing else), and
+        the id of the tails' lane partition.
         """
         tail_code, signature = divmod(key, 1 << self._signature_bits)
         nominal = nominal_content([
@@ -464,86 +557,91 @@ class TTAStartupModel:
             pair_key = self._intern_pair(channel0, channel1)
             tail = self._tail_code_of(new_buffers, new_oos) * self._tail_scale
             kept.setdefault((pair_key, tail), (channel0, channel1))
-        lane_bits = self._lane_bits
-        shifts = tuple(range(0, lane_bits * len(kept), lane_bits))
-        tail_lanes = sum(tail << shift
-                         for (_, tail), shift in zip(kept, shifts))
+        tails = tuple(tail for _, tail in kept)
         sequence = tuple(pair_key for pair_key, _ in kept)
         sequence_id = self._cache_sequence.setdefault(
             sequence, len(self._cache_sequence))
         channels = tuple(zip(sequence, kept.values()))
-        contexts = (channels, tail_lanes, sequence_id, shifts)
+        contexts = (channels, tails, sequence_id,
+                    self._partition_id(tails, (False,) * len(tails)))
         self._cache_context[key] = contexts
         return contexts
 
-    def _build_entry(self, entries: Dict[int, object], digits: int,
-                     nodes: range, contexts: tuple) -> object:
+    def _build_entry(self, entries: Dict[int, tuple], digits: int,
+                     nodes: range, contexts: tuple) -> tuple:
         """A node group's contribution under one channel-pair sequence.
 
-        Single-option nodes are summed into one int, one lane per fault
-        context.  If some node has several next locals, the entry is
-        ``(lanes, multi)`` instead: ``multi[lane]`` is None when every node
-        has one option in that lane, else the sums of the product of the
-        multi-option nodes' options in node order (the node's own cached
-        step tuple when it is the only one).
+        The entry is ``(lanes, partition_id, flags)``: per fault context,
+        the sums of the product of the group's node options in node order
+        (one sum when every node has a single next local); the id of the
+        lanes' partition by equality; and the state flags of every option.
+        Equal lanes share one tuple.
         """
-        channels, _, sequence_id, shifts = contexts
+        channels, _, sequence_id, _ = contexts
         node_keys = [(local_code * self._node_count + node_index)
                      << self._PAIR_KEY_BITS
                      for node_index, local_code
                      in self._group_locals(digits, nodes)]
         step_cache = self._cache_step
-        lanes = 0
-        multi: List[Optional[Tuple[int, ...]]] = []
-        for (pair_key, pair), shift in zip(channels, shifts):
-            sums = None
+        flags = 0
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        lanes = []
+        for pair_key, pair in channels:
+            sums: Tuple[int, ...] = (0,)
             for node_key in node_keys:
                 step_key = node_key | pair_key
-                options = step_cache.get(step_key)
-                if options is None:
-                    options = self._build_node_options(step_key, pair)
-                if len(options) == 1:
-                    lanes += options[0] << shift
-                elif sums is None:
-                    sums = options
-                else:
-                    sums = tuple(total + option
-                                 for total in sums for option in options)
-            multi.append(sums)
-        if multi.count(None) == len(multi):
-            entry: object = lanes
-        else:
-            entry = (lanes, tuple(multi))
+                cached = step_cache.get(step_key)
+                if cached is None:
+                    cached = self._build_node_options(step_key, pair)
+                options, option_flags = cached
+                flags |= option_flags
+                sums = tuple(total + option
+                             for total in sums for option in options)
+            lanes.append(shared.setdefault(sums, sums))
+        lanes_tuple = tuple(lanes)
+        entry = (lanes_tuple,
+                 self._partition_id(lanes_tuple,
+                                    tuple(len(lane) > 1 for lane in lanes)),
+                 flags)
         entries[sequence_id] = entry
         return entry
 
     def _build_node_options(self, step_key: int,
                             channels: Tuple[ChannelContent, ChannelContent]
-                            ) -> Tuple[int, ...]:
-        """Shifted packed codes of one node's next locals (memo miss path)."""
+                            ) -> Tuple[Tuple[int, ...], int]:
+        """Shifted packed codes of one node's distinct next locals, and the
+        state flags they raise (memo miss path)."""
         local_code, node_index = divmod(step_key >> self._PAIR_KEY_BITS,
                                         self._node_count)
         local = self._decode_local(local_code)
         scale = self._node_scale[node_index]
-        options = tuple(self._encode_local(next_local) * scale
-                        for next_local in node_step(
-                            self.config, self._node_ids[node_index],
-                            local, channels))
-        self._cache_step[step_key] = options
-        return options
+        next_locals = node_step(self.config, self._node_ids[node_index],
+                                local, channels)
+        options = tuple(dict.fromkeys(self._encode_local(next_local) * scale
+                                      for next_local in next_locals))
+        flags = 0
+        for next_local in next_locals:
+            flags |= self._state_flag(node_index, next_local.state)
+        self._cache_step[step_key] = (options, flags)
+        return options, flags
 
     def packed_initial_states(self) -> List[int]:
         codec = self.codec
         return [codec.pack(state) for state in self.initial_states()]
 
     def packed_successors(self, code: int) -> Tuple[int, ...]:
-        """Packed successor codes, in :meth:`successors` enumeration order.
+        """Packed successor codes, in :meth:`successors` enumeration order."""
+        return tuple(self.packed_flagged_successors(code)[0])
 
-        Pure integer composition from two row entries and one context: the
-        lanes of ``lo + hi + tail`` are the successors of the fault contexts
-        whose nodes all have a single next local; multi-option nodes are
-        expanded as a product, low group outer and high group inner (node
-        order), so the order is that of :meth:`successors`.
+    def packed_flagged_successors(self, code: int) -> Tuple[List[int], int]:
+        """Packed successor codes in :meth:`successors` order, and the state
+        flags of the expansion (see :meth:`assignment_flag`).
+
+        Pure integer composition from two row entries and one context: each
+        kept lane yields ``tail + low + high`` over its low and high option
+        sums, low group outer and high group inner (node order), so the
+        order is that of :meth:`successors`.  The flags carry the bit of
+        every protocol state some node enters in some successor.
         """
         if not self._packed_ready:
             self._build_packed_tables()
@@ -566,47 +664,28 @@ class TTAStartupModel:
             contexts = self._cache_context[key]
         except KeyError:
             contexts = self._build_contexts(key)
-        _, tail_lanes, sequence_id, shifts = contexts
+        _, tails, sequence_id, tail_partition = contexts
         try:
-            lo_entry = lo_entries[sequence_id]
+            lo_lanes, lo_partition, lo_flags = lo_entries[sequence_id]
         except KeyError:
-            lo_entry = self._build_entry(lo_entries, lo_digits,
-                                         self._lo_nodes, contexts)
+            lo_lanes, lo_partition, lo_flags = self._build_entry(
+                lo_entries, lo_digits, self._lo_nodes, contexts)
         try:
-            hi_entry = hi_entries[sequence_id]
+            hi_lanes, hi_partition, hi_flags = hi_entries[sequence_id]
         except KeyError:
-            hi_entry = self._build_entry(hi_entries, hi_digits,
-                                         self._hi_nodes, contexts)
-        mask = self._lane_mask
-        if lo_entry.__class__ is int and hi_entry.__class__ is int:
-            total = lo_entry + hi_entry + tail_lanes
-            return tuple(dict.fromkeys([(total >> shift) & mask
-                                        for shift in shifts]))
-        none_multi = (None,) * len(shifts)
-        if lo_entry.__class__ is int:
-            lo_multi = none_multi
-        else:
-            lo_entry, lo_multi = lo_entry
-        if hi_entry.__class__ is int:
-            hi_multi = none_multi
-        else:
-            hi_entry, hi_multi = hi_entry
-        total = lo_entry + hi_entry + tail_lanes
-        found: List[int] = []
-        for shift, lo_sums, hi_sums in zip(shifts, lo_multi, hi_multi):
-            base = (total >> shift) & mask
-            if lo_sums is None:
-                if hi_sums is None:
-                    found.append(base)
-                else:
-                    found.extend([base + high for high in hi_sums])
-            elif hi_sums is None:
-                found.extend([base + low for low in lo_sums])
-            else:
-                found.extend([base + low + high
-                              for low in lo_sums for high in hi_sums])
-        # First-occurrence dedup across fault contexts.
-        return tuple(dict.fromkeys(found))
+            hi_lanes, hi_partition, hi_flags = self._build_entry(
+                hi_entries, hi_digits, self._hi_nodes, contexts)
+        bits = self._PARTITION_KEY_BITS
+        kept_key = (lo_partition << bits | hi_partition) << bits | tail_partition
+        try:
+            kept, dedup = self._cache_kept[kept_key]
+        except KeyError:
+            kept, dedup = self._build_kept(kept_key)
+        found = [tails[lane] + low + high for lane in kept
+                 for low in lo_lanes[lane] for high in hi_lanes[lane]]
+        if dedup:
+            found = list(dict.fromkeys(found))
+        return found, lo_flags | hi_flags
 
     # -- labels ------------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.modelcheck.encode import PackedSystemAdapter, compile_packed_invariant
+from repro.modelcheck.encode import PackedSystemAdapter, compile_packed_invariant, invariant_flags
 from repro.modelcheck.model import TransitionSystem
 from repro.modelcheck.state import StateView
 from repro.modelcheck.trace import Trace, TraceStep
@@ -257,12 +257,24 @@ class InvariantChecker:
         The hot loop touches only ints: parent links are code -> code, the
         invariant is compiled to digit tests where possible, and labels are
         re-derived from the tuple-level transition relation only for the
-        (short) counterexample chain.
+        (short) counterexample chain.  A system with flagged successors
+        reports, per expansion, which forbidden assignments its successors
+        may carry; the invariant is evaluated, still as each new state is
+        inserted, only on the successors of expansions whose flags meet
+        the invariant's (:func:`~repro.modelcheck.encode.invariant_flags`).
         """
         started = time.perf_counter()
         codec = packed.codec
         packed_invariant = compile_packed_invariant(invariant, codec)
-        successors_of = packed.packed_successors
+        flagged_successors = getattr(packed, "packed_flagged_successors",
+                                     None)
+        if flagged_successors is None:
+            plain_successors = packed.packed_successors
+
+            def flagged_successors(code: int) -> Tuple[Any, int]:
+                return plain_successors(code), -1
+
+        watched = invariant_flags(invariant, packed)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
@@ -309,8 +321,10 @@ class InvariantChecker:
                 break
             next_level: List[int] = []
             for code in current:
-                for target in successors_of(code):
-                    transitions += 1
+                targets, flags = flagged_successors(code)
+                transitions += len(targets)
+                suspect = flags & watched
+                for target in targets:
                     if target in parent:
                         continue
                     if max_states is not None and len(parent) >= max_states:
@@ -321,9 +335,11 @@ class InvariantChecker:
                     if (progress is not None
                             and states_added % progress_interval == 0):
                         progress(states_added, depth + 1)
-                    if not packed_invariant(target):
+                    if suspect and not packed_invariant(target):
                         violating = target
                         max_depth_seen = depth + 1
+                        # Count no transition past the violating one.
+                        transitions -= len(targets) - 1 - targets.index(target)
                         return make_result()
                     next_level.append(target)
             if next_level:

@@ -163,6 +163,33 @@ def compile_packed_invariant(invariant: Callable[[StateView], bool],
     return decoded_invariant
 
 
+def invariant_flags(invariant: Callable[[StateView], bool],
+                    system: Any) -> int:
+    """Successor flags under which ``invariant`` must be evaluated.
+
+    A system with flagged successors (see
+    :meth:`repro.model.system_model.TTAStartupModel.packed_flagged_successors`)
+    reports, per expansion, flags for the assignments its successors may
+    carry, and maps one assignment to its flag with ``assignment_flag``.
+    When every one of the invariant's ``forbidden_assignments`` has a flag,
+    the result is their OR: an expansion whose flags miss all of them
+    cannot violate the invariant.  Otherwise the result is ``-1``, which
+    every expansion matches, so the invariant is evaluated on every new
+    state.
+    """
+    forbidden = getattr(invariant, "forbidden_assignments", None)
+    flag_of = getattr(system, "assignment_flag", None)
+    if not forbidden or flag_of is None:
+        return -1
+    watched = 0
+    for name, value in forbidden:
+        flag = flag_of(name, value)
+        if flag is None:
+            return -1
+        watched |= flag
+    return watched
+
+
 class PackedSystemAdapter:
     """Generic packed interface over any tuple-based transition system.
 

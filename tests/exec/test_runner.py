@@ -5,12 +5,14 @@ reference.  Cross-process "fail exactly once" coordination uses marker
 files claimed with ``O_CREAT | O_EXCL`` (atomic across processes).
 """
 
+import logging
 import os
 import signal
 import time
 
 import pytest
 
+import repro.exec.runner as runner_module
 from repro.exec import (TASK_EXCEPTION, TASK_OK, TASK_TIMEOUT,
                         TASK_WORKER_CRASH, TaskExecutionError, TaskRunner)
 from repro.obs.monitors import RunnerHealthMonitor
@@ -93,6 +95,41 @@ def test_unpicklable_work_falls_back_to_serial():
     assert runner.map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
     assert not runner.pool_engaged
     assert runner.fallback_reason is not None
+
+
+def _runner_records(caplog):
+    return [record for record in caplog.records
+            if record.name == runner_module.__name__]
+
+
+def test_unpicklable_work_fallback_is_logged(caplog):
+    runner = TaskRunner(max_workers=2, force_pool=True)
+    with caplog.at_level(logging.WARNING, logger=runner_module.__name__):
+        assert runner.map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
+    (record,) = _runner_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert runner.fallback_reason in record.getMessage()
+
+
+def test_pool_start_failure_fallback_is_logged(monkeypatch, caplog):
+    class ExplodingPool:
+        def __init__(self, max_workers):
+            raise OSError("no processes on this host")
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
+    runner = TaskRunner(max_workers=2, force_pool=True)
+    with caplog.at_level(logging.WARNING, logger=runner_module.__name__):
+        assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+    (record,) = _runner_records(caplog)
+    assert "OSError: no processes on this host" in record.getMessage()
+
+
+def test_planned_single_worker_run_is_not_logged(caplog):
+    runner = TaskRunner(max_workers=1)
+    with caplog.at_level(logging.DEBUG, logger=runner_module.__name__):
+        assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert runner.fallback_reason == "single worker"
+    assert _runner_records(caplog) == []
 
 
 def test_invalid_parameters_rejected():

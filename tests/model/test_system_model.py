@@ -116,7 +116,7 @@ def test_memo_tables_stay_far_below_the_state_count():
     """The packed path memoizes per local state x channel pair, never per
     global state: after the full slots-4 full_shifting check the
     ``_cache_*`` tables together hold far fewer entries than the states
-    explored (1,364 against 20,806)."""
+    explored (1,819 against 20,806)."""
     config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
     model = TTAStartupModel(config)
     result = InvariantChecker(model).check(no_clique_freeze(config))
@@ -138,7 +138,7 @@ def test_pickled_model_carries_no_memo_state_and_rechecks_identically():
     clone = pickle.loads(pickle.dumps(model))
     assert set(vars(clone)) == set(vars(TTAStartupModel(config)))
     assert not any(name.startswith("_cache_") for name in vars(clone))
-    assert "_lane_bits" not in vars(clone)
+    assert "_block_radix" not in vars(clone)
     assert clone.config == config
     second = InvariantChecker(clone).check(no_clique_freeze(config))
 
@@ -180,9 +180,7 @@ def test_fault_contexts_drop_twin_choices_on_a_silent_channel():
             codec.pack(transition.target)
             for transition in model.successors(state)))
         assert list(model.packed_successors(codec.pack(state))) == expected
-    mask = (1 << model._lane_bits) - 1
-    for channels, tail_lanes, _, shifts in model._cache_context.values():
-        tails = [(tail_lanes >> shift) & mask for shift in shifts]
+    for channels, tails, _, _ in model._cache_context.values():
         twins = [(pair_key, tail)
                  for (pair_key, _), tail in zip(channels, tails)]
         assert len(set(twins)) == len(twins)

@@ -23,6 +23,7 @@ from repro.model.scenarios import (running_cluster_scenario,
                                    unconstrained_full_shifting)
 from repro.model.system_model import UNLIMITED, TTAStartupModel
 from repro.modelcheck.checker import InvariantChecker, check_invariant
+from repro.modelcheck.encode import compile_packed_invariant, invariant_flags
 from repro.modelcheck.model import ExplicitTransitionSystem
 from repro.modelcheck.state import StateSpace, Variable
 
@@ -254,3 +255,141 @@ def test_packed_successors_match_tuple_successors_on_model_variants(config):
     assert max(option_counts) >= 2
     if config.full_host_choices:
         assert {3, 4} <= option_counts
+
+
+def kept_lanes(system, code):
+    """Per kept fault-context lane of one expansion: the lane's successors
+    before cross-lane deduplication, and whether the lane holds several
+    options (read off the model's memo tables)."""
+    system.packed_flagged_successors(code)
+    hi_digits, lo_digits = divmod(code, system._lo_radix)
+    tail, hi_digits = divmod(hi_digits, system._hi_radix)
+    lo_signature, lo_entries = system._cache_lo_row[lo_digits]
+    hi_signature, hi_entries = system._cache_hi_row[hi_digits]
+    _, tails, sequence_id, tail_partition = system._cache_context[
+        tail << system._signature_bits | lo_signature | hi_signature]
+    lo_lanes, lo_partition, _ = lo_entries[sequence_id]
+    hi_lanes, hi_partition, _ = hi_entries[sequence_id]
+    bits = system._PARTITION_KEY_BITS
+    kept, _ = system._cache_kept[
+        (lo_partition << bits | hi_partition) << bits | tail_partition]
+    return [([tails[lane] + low + high
+              for low in lo_lanes[lane] for high in hi_lanes[lane]],
+             len(lo_lanes[lane]) * len(hi_lanes[lane]) > 1)
+            for lane in kept]
+
+
+def test_packed_successors_dedup_overlapping_kept_lanes():
+    """With an unlimited out-of-slot budget, two kept lanes can share
+    successors: both holding multi-option products, or a single-option lane
+    and a later multi-option one.  ``packed_successors`` still equals
+    first-occurrence-deduplicated ``successors`` there."""
+    system = TTAStartupModel(VARIANTS["unlimited_out_of_slot"])
+    codec = system.codec
+    overlaps = Counter()
+    for code in bfs_sample(system, 50_000, 5_000):
+        owner = {}
+        shapes = set()
+        for position, (found, multi) in enumerate(kept_lanes(system, code)):
+            for target in found:
+                if owner.get(target, (position,))[0] != position:
+                    shapes.add((owner[target][1], multi))
+                owner.setdefault(target, (position, multi))
+        if not shapes:
+            continue
+        overlaps.update(shapes)
+        expected = list(dict.fromkeys(
+            codec.pack(transition.target)
+            for transition in system.successors(codec.unpack(code))))
+        assert list(system.packed_successors(code)) == expected
+    assert overlaps[(True, True)] > 0
+    assert overlaps[(False, True)] > 0
+
+
+FLAG_CASES = dict(VARIANTS, slots5=scenario_for_authority(
+    CouplerAuthority.FULL_SHIFTING, slots=5))
+
+
+def test_flagged_expansions_cover_every_clique_freeze_successor():
+    """Every sampled expansion with a successor in which some node is in
+    ``freeze_clique`` reports flags that meet the invariant's; most
+    expansions report none (the invariant is skipped there)."""
+    violating = 0
+    clean = 0
+    expansions = 0
+    for name, config in FLAG_CASES.items():
+        system = TTAStartupModel(config)
+        invariant = no_clique_freeze(config)
+        watched = invariant_flags(invariant, system)
+        packed_invariant = compile_packed_invariant(invariant, system.codec)
+        assert watched > 0, name
+        for code in bfs_sample(system, 50_000, 5_000):
+            targets, flags = system.packed_flagged_successors(code)
+            expansions += 1
+            clean += not flags & watched
+            for target in targets:
+                if not packed_invariant(target):
+                    violating += 1
+                    assert flags & watched, (name, code)
+    assert violating > 0
+    assert clean > expansions // 2
+
+
+def test_five_slot_check_flags_the_violating_expansion():
+    """The flagged 5-slot check keeps the recorded counts, and the
+    expansion of the counterexample's last-but-one state is flagged."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING, slots=5)
+    system = TTAStartupModel(config)
+    invariant = no_clique_freeze(config)
+    result = InvariantChecker(system).check(invariant)
+    assert (result.verdict, result.states_explored,
+            result.transitions_explored, result.depth_reached) == (
+        "VIOLATED", 350_635, 922_274, 15)
+    codec = system.codec
+    *_, before, last = [codec.pack(step.state)
+                        for step in result.counterexample.steps]
+    targets, flags = system.packed_flagged_successors(before)
+    assert last in targets
+    assert flags & invariant_flags(invariant, system)
+
+
+def _comparable(result):
+    steps = [(step.state, step.label) for step in result.counterexample.steps]
+    return (result.verdict, result.states_explored,
+            result.transitions_explored, result.depth_reached, steps)
+
+
+def test_non_state_forbidden_assignment_checks_every_target():
+    """A forbidden assignment on a node variable other than ``*_state`` has
+    no flag: the packed check evaluates the invariant on every new state
+    and agrees with the tuple engine."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
+
+    def invariant(view):
+        return view.a_slot != 3
+
+    invariant.forbidden_assignments = [("a_slot", 3)]
+    assert invariant_flags(invariant, TTAStartupModel(config)) == -1
+    tuple_result, packed_result = (
+        check_invariant(TTAStartupModel(config), invariant, engine=engine)
+        for engine in ("tuple", "packed"))
+    assert not packed_result.holds
+    assert_identical(tuple_result, packed_result)
+
+
+def test_opaque_invariant_checks_every_target():
+    """An invariant without ``forbidden_assignments`` is evaluated on every
+    new state and finds the same violation, counts and trace as the
+    flagged ``no_clique_freeze`` check."""
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
+    flagged = no_clique_freeze(config)
+
+    def opaque(view):
+        return flagged(view)
+
+    assert invariant_flags(opaque, TTAStartupModel(config)) == -1
+    flagged_result, opaque_result = (
+        InvariantChecker(TTAStartupModel(config)).check(invariant)
+        for invariant in (flagged, opaque))
+    assert not opaque_result.holds
+    assert _comparable(opaque_result) == _comparable(flagged_result)
